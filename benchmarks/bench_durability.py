@@ -4,7 +4,7 @@ Measures what crash safety costs on the fleet ingest hot path
 (``FleetEngine.ingest_day`` — one bulk CRC-framed ``day`` record per
 fleet-day, base64 float64 payload, group-commit fsync batching), with
 a tighter variant of ``bench_gateway.py``'s paired interleaved
-methodology: one engine, one process, one warmed cycle cache — and
+methodology: one engine, one process, one warmed cycle state — and
 the journal toggled on/off on *alternating days* within each window,
 so the two modes share engine state and the machine's
 thermal/frequency state down to sub-millisecond granularity.  The

@@ -58,7 +58,6 @@ def build_stack(n_vehicles: int, store_dir: str):
         monitor=DriftMonitor(
             threshold_days=2.0, window=30, min_samples=5, alert_cooldown=12
         ),
-        cycle_cache=True,
         retrain_on_cycle=False,
     )
     engine = FleetEngine(

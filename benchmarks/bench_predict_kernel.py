@@ -10,9 +10,9 @@ best-of-``--repeats`` per side, so background noise hits both equally):
   shaped workload — for both the RF and the histogram-GBDT serving
   defaults, at single-row (one vehicle) and 64-row (stacked fleet
   batch) shapes;
-* the engine's group-batched ``predict_all`` (one kernel call per
-  shared model identity) beats per-vehicle dispatch
-  (``EngineConfig(batched_predict=False)``) on a warm cold-start-heavy
+* the service's group-batched ``predict_batch(ids)`` (one kernel call
+  per shared model identity) beats per-vehicle dispatch
+  (``[predict_batch([v]) for v in ids]``) on a warm cold-start-heavy
   fleet, where most vehicles share the fleet-wide ``Model_Uni``;
 * every batched forecast is **bit-identical** to the serial
   ``MaintenancePredictionService.predict`` path, and every compiled
@@ -125,14 +125,12 @@ def kernel_microbench(repeats: int, inner: int):
     return results
 
 
-def build_engine(usage, *, batched: bool) -> FleetEngine:
+def build_engine(usage) -> FleetEngine:
     engine = FleetEngine(
         t_v=T_V,
         window=WINDOW,
         algorithm="RF",
-        config=EngineConfig(
-            max_workers=1, executor="serial", batched_predict=batched
-        ),
+        config=EngineConfig(max_workers=1, executor="serial"),
     )
     engine.register_fleet(usage)
     for vehicle_id, series in usage.items():
@@ -141,18 +139,24 @@ def build_engine(usage, *, batched: bool) -> FleetEngine:
 
 
 def fleet_bench(usage, repeats: int):
-    """Warm-fleet predict_all seconds: batched vs per-vehicle dispatch."""
-    timings = {}
-    forecasts = {}
-    for batched in (False, True):
-        engine = build_engine(usage, batched=batched)
-        forecasts[batched] = engine.predict_all()  # trains + warms caches
-        best = float("inf")
-        for _ in range(repeats):
+    """Warm-fleet seconds: one grouped batch vs per-vehicle dispatch."""
+    engine = build_engine(usage)
+    engine.predict_all()  # trains + warms caches
+    service = engine.service
+    ids = sorted(usage)
+    runs = {
+        False: lambda: [service.predict_batch([v])[0] for v in ids],
+        True: lambda: service.predict_batch(ids),
+    }
+    forecasts = {batched: run() for batched, run in runs.items()}
+    timings = {batched: float("inf") for batched in runs}
+    for _ in range(repeats):  # interleaved paired windows
+        for batched, run in runs.items():
             started = time.perf_counter()
-            engine.predict_all()
-            best = min(best, time.perf_counter() - started)
-        timings[batched] = best
+            run()
+            timings[batched] = min(
+                timings[batched], time.perf_counter() - started
+            )
     return timings, forecasts
 
 
@@ -259,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     fleet_speedup = timings[False] / timings[True]
     lines += [
         "",
-        f"fleet predict_all ({n_old} OLD + {vehicles - n_old} NEW "
+        f"fleet predict_batch ({n_old} OLD + {vehicles - n_old} NEW "
         "vehicles, warm models):",
         f"  per-vehicle dispatch: {timings[False] * 1e3:8.2f} ms",
         f"  group-batched       : {timings[True] * 1e3:8.2f} ms"
@@ -267,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if fleet_speedup <= 1.0:
         failures.append(
-            f"group-batched predict_all is {fleet_speedup:.2f}x per-vehicle "
+            f"group-batched predict_batch is {fleet_speedup:.2f}x per-vehicle "
             "dispatch (must be faster)"
         )
 

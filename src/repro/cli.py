@@ -632,7 +632,6 @@ def _cmd_recover(args) -> int:
             window=args.window,
             algorithm=args.algorithm,
             guard=IngestionGuard(),
-            cycle_cache=True,
         )
     manager = RecoveryManager(state_dir, service, config=config)
     try:

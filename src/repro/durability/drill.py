@@ -51,7 +51,7 @@ _DRILL_CONFIG = DurabilityConfig(fsync_every=8, checkpoint_every=32)
 
 
 def _build_service(t_v: float = _DRILL_T_V):
-    """One drill service: guarded, cached, no monitor (ingest-only)."""
+    """One drill service: guarded, no monitor (ingest-only)."""
     from ..serving.reliability import IngestionGuard
     from ..serving.service import MaintenancePredictionService
 
@@ -60,7 +60,6 @@ def _build_service(t_v: float = _DRILL_T_V):
         window=0,
         algorithm="LR",
         guard=IngestionGuard(),
-        cycle_cache=True,
     )
 
 

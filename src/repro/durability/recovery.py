@@ -437,7 +437,7 @@ def build_service_from_state(state: dict, **kwargs):
     state dicts.  This helper rebuilds matching components so
     ``load_state_dict`` accepts the snapshot — the ``repro recover``
     CLI path, where no pre-built service exists.  Extra ``kwargs``
-    (e.g. ``store``, ``cycle_cache``) pass through to the service
+    (e.g. ``store``, ``obs``) pass through to the service
     constructor.
     """
     from ..serving.monitoring import DriftMonitor

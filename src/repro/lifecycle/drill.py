@@ -86,7 +86,6 @@ def _build_stack(
             min_samples=5,
             alert_cooldown=alert_cooldown,
         ),
-        cycle_cache=True,
         retrain_on_cycle=False,
     )
     engine = FleetEngine(

@@ -6,7 +6,7 @@ surfaces the repo grew across PRs 1–3:
 * :class:`~repro.obs.metrics.MetricsRegistry` — thread-safe counters,
   gauges and histograms (with the exact-quantile summary formerly
   private to the gateway), plus collector hooks through which fleet
-  health, drift and cache statistics join the consolidated
+  health, drift and kernel-cache statistics join the consolidated
   ``/v1/metrics`` snapshot;
 * :class:`~repro.obs.tracing.Tracer` — per-request structured trace
   spans propagated from the gateway's HTTP handler through the

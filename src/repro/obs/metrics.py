@@ -22,7 +22,7 @@ increment, and a high-water gauge can never read below a depth that was
 recorded before the snapshot began.
 
 Subsystems that keep their own state (fleet health, drift monitor,
-cycle cache) plug in as *collectors*: callables invoked at snapshot
+kernel cache) plug in as *collectors*: callables invoked at snapshot
 time whose dict result appears as a named section of the snapshot.
 Stdlib-only; no numpy.
 """
@@ -222,7 +222,7 @@ class MetricsRegistry:
         """Attach a callable whose dict result becomes a snapshot section.
 
         Collectors are how stateful subsystems (fleet health, drift
-        monitor, cycle cache) surface their counters without being
+        monitor, kernel cache) surface their counters without being
         polled by every mutation.
         """
         if name in _RESERVED_SECTIONS:

@@ -9,7 +9,6 @@ degraded serving, hardened persistence, deterministic fault injection)
 that keeps the service up on dirty telematics and flaky storage.
 """
 
-from .cycle_cache import CacheStats, CycleStateCache
 from .engine import EngineConfig, FleetEngine
 from .executor import FleetExecutor, default_max_workers
 from .faults import (
@@ -57,8 +56,6 @@ __all__ = [
     "ShardedFleetEngine",
     "build_shard_engine",
     "merge_fleet_health",
-    "CacheStats",
-    "CycleStateCache",
     "EngineConfig",
     "FleetEngine",
     "FleetExecutor",

@@ -1,20 +1,17 @@
 """Batch fleet engine: parallel training + batch prediction.
 
-:class:`MaintenancePredictionService` handles one vehicle at a time and
-re-derives every cycle series from scratch; this module scales the same
-methodology to fleet-sized traffic without changing a single predicted
-``D̂_v(t)``:
+This module scales :class:`MaintenancePredictionService` to
+fleet-sized traffic without changing a single predicted ``D̂_v(t)``:
 
-* **incremental cycle-state caching** — the engine's service runs with a
-  :class:`~repro.serving.cycle_cache.CycleStateCache`, so a day of
-  ingest updates ``C``/``L``/``D`` in O(1) instead of O(history);
 * **parallel per-vehicle training** — stale old-vehicle models are
   retrained through a :class:`~repro.serving.executor.FleetExecutor`
   (threads by default, process pool opt-in) and installed in
   deterministic vehicle order;
-* **batch prediction** — :meth:`FleetEngine.predict_all` fans
-  per-vehicle forecasts out over threads and returns them sorted by
-  vehicle id.
+* **batch prediction** — :meth:`FleetEngine.predict_all` and
+  :meth:`FleetEngine.predict_many` make one
+  :meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
+  call, which stacks vehicles sharing a model into one kernel call,
+  and return forecasts sorted by vehicle id.
 
 Serial-equivalence contract: every forecast is bit-identical to what
 the plain serial service would produce on the same history, because
@@ -38,8 +35,7 @@ from ..core.categorize import VehicleCategory
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
 from ..dataprep.transformation import build_relational_dataset
-from ..obs import NULL_STAGE, Observability, tracing
-from .cycle_cache import CycleStateCache
+from ..obs import NULL_STAGE, Observability
 from .executor import FleetExecutor
 from .reliability import FleetHealth
 from .service import Forecast, MaintenancePredictionService
@@ -49,40 +45,28 @@ __all__ = ["EngineConfig", "FleetEngine"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Concurrency and caching knobs of the fleet engine.
+    """Training-concurrency and freshness knobs of the fleet engine.
 
     Attributes
     ----------
     max_workers:
-        Worker bound for training and prediction fan-out; ``None``
-        sizes to the host, ``1`` forces the serial schedule.
+        Worker bound for the training fan-out; ``None`` sizes to the
+        host, ``1`` forces the serial schedule.
     executor:
-        ``"thread"`` (default) or ``"process"`` for the *training*
-        fan-out.  Prediction always fans out over threads because it
-        mutates live per-vehicle service state.
-    use_cycle_cache:
-        Attach an incremental :class:`CycleStateCache` to the service.
+        ``"thread"`` (default), ``"process"`` or ``"serial"`` for the
+        training fan-out.  Prediction always runs on the calling
+        thread: it mutates live per-vehicle service state.
     auto_refresh:
         Refresh stale old-vehicle models before every batch prediction
         (the historical contract).  ``False`` leaves model freshness to
         explicit :meth:`FleetEngine.refresh_models` calls or the
         lifecycle controller's evaluation-gated promotions — batch
         prediction then serves whatever champions are installed.
-    batched_predict:
-        Route batch prediction through the service's grouped compiled-
-        kernel path (:meth:`~repro.serving.service.
-        MaintenancePredictionService.predict_batch`): vehicles sharing
-        a model are stacked into one fused kernel call instead of one
-        tiny predict per vehicle.  Forecasts stay bit-identical to the
-        per-vehicle fan-out.  Resilient services (circuit breaker) and
-        injected prediction executors always use the per-vehicle path.
     """
 
     max_workers: int | None = None
     executor: str = "thread"
-    use_cycle_cache: bool = True
     auto_refresh: bool = True
-    batched_predict: bool = True
 
     def __post_init__(self) -> None:
         if self.executor not in ("serial", "thread", "process"):
@@ -144,12 +128,13 @@ class FleetEngine:
         An existing service to drive; when ``None`` a fresh one is
         built from ``service_kwargs`` (``t_v`` is then required).
     config:
-        :class:`EngineConfig`; defaults to threads sized to the host
-        with the cycle cache enabled.
-    training_executor / prediction_executor:
-        Optional :class:`FleetExecutor` overrides (the fault-injection
-        harness substitutes a :class:`~repro.serving.faults.
-        FaultyExecutor` here); defaults are built from ``config``.
+        :class:`EngineConfig`; defaults to training threads sized to
+        the host.
+
+    Faults are injected below the engine, at the service's
+    ``predictor_factory`` (see :func:`~repro.serving.faults.
+    faulty_predictor_factory`): training tasks carry that factory, so
+    refresh fan-out and prediction both exercise it.
     """
 
     def __init__(
@@ -157,31 +142,21 @@ class FleetEngine:
         service: MaintenancePredictionService | None = None,
         *,
         config: EngineConfig | None = None,
-        training_executor: FleetExecutor | None = None,
-        prediction_executor: FleetExecutor | None = None,
         **service_kwargs,
     ):
         self.config = config or EngineConfig()
         if service is None:
-            service_kwargs.setdefault(
-                "cycle_cache", self.config.use_cycle_cache
-            )
             service = MaintenancePredictionService(**service_kwargs)
         elif service_kwargs:
             raise ValueError(
                 "Pass service_kwargs only when the engine builds the "
                 "service itself."
             )
-        elif self.config.use_cycle_cache and service.cycle_cache is None:
-            service.cycle_cache = CycleStateCache()
         self.service = service
-        self._training_executor_override = training_executor
-        self._prediction_executor_override = prediction_executor
-        # Lazily-built persistent executors: FleetExecutor keeps one
-        # pool per instance now, so the engine must keep one instance
-        # per role instead of constructing a throwaway per call.
+        # Lazily-built persistent training executor: FleetExecutor keeps
+        # one pool per instance, so the engine keeps the instance instead
+        # of constructing a throwaway per call.
         self._training_executor_cache: FleetExecutor | None = None
-        self._prediction_executor_cache: FleetExecutor | None = None
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self.obs: Observability | None = None
@@ -203,7 +178,7 @@ class FleetEngine:
 
         The service underneath gets the same instance (stage profiling,
         ladder span events), and the engine contributes the ``fleet``,
-        ``drift`` and ``cache`` sections of the consolidated metrics
+        ``drift`` and ``kernel`` sections of the consolidated metrics
         snapshot via registry collectors.  Idempotent; the gateway calls
         this on construction, in-process users may call it directly.
         """
@@ -222,9 +197,6 @@ class FleetEngine:
                 else self.service.monitor.counters()
             ),
             replace=True,
-        )
-        obs.registry.register_collector(
-            "cache", lambda: self.cache_stats or {}, replace=True
         )
         obs.registry.register_collector(
             "kernel", lambda: self.service.kernel_cache.stats(), replace=True
@@ -282,46 +254,22 @@ class FleetEngine:
     # -- executors ---------------------------------------------------------
 
     def _training_executor(self) -> FleetExecutor:
-        if self._training_executor_override is not None:
-            return self._training_executor_override
         if self._training_executor_cache is None:
             self._training_executor_cache = FleetExecutor(
                 max_workers=self.config.max_workers, kind=self.config.executor
             )
         return self._training_executor_cache
 
-    def _prediction_executor(self) -> FleetExecutor:
-        if self._prediction_executor_override is not None:
-            return self._prediction_executor_override
-        if self._prediction_executor_cache is None:
-            # Prediction mutates live per-vehicle state (pending
-            # forecasts, model caches), so it must stay in-process.
-            kind = "serial" if self.config.executor == "serial" else "thread"
-            self._prediction_executor_cache = FleetExecutor(
-                max_workers=self.config.max_workers, kind=kind
-            )
-        return self._prediction_executor_cache
-
     def close(self) -> None:
-        """Release the engine's persistent worker pools; idempotent.
+        """Release the engine's persistent training pool; idempotent.
 
-        Override executors are owned by whoever passed them in and are
-        left alone.  The engine itself stays usable for serial work,
-        but a closed pool is never resurrected.
+        The engine itself stays usable for serial work, but a closed
+        pool is never resurrected.
         """
-        for cache in (
-            self._training_executor_cache,
-            self._prediction_executor_cache,
-        ):
-            if cache is not None:
-                cache.close()
+        if self._training_executor_cache is not None:
+            self._training_executor_cache.close()
 
     # -- ingestion ---------------------------------------------------------
-
-    @property
-    def cache_stats(self) -> dict[str, int] | None:
-        cache = self.service.cycle_cache
-        return None if cache is None else cache.stats.as_dict()
 
     def register_fleet(self, vehicle_ids: Iterable[str]) -> None:
         """Register many vehicles at once (order-independent)."""
@@ -334,7 +282,7 @@ class FleetEngine:
         """Ingest one day of utilization for part or all of the fleet.
 
         Vehicles are processed in sorted id order so monitor resolution
-        and cache updates are deterministic.  When the service carries
+        is deterministic.  When the service carries
         an ingestion guard, one vehicle's dirty reading can no longer
         kill the whole fleet batch — it is screened per policy and the
         rest of the batch proceeds.
@@ -454,11 +402,6 @@ class FleetEngine:
         """The service's aggregated resilience report."""
         return self.service.health()
 
-    def invalidate(self, vehicle_id: str | None = None) -> None:
-        """Invalidate cached cycle state after a history rewrite."""
-        if self.service.cycle_cache is not None:
-            self.service.cycle_cache.invalidate(vehicle_id)
-
     # -- training ----------------------------------------------------------
 
     def _stale_old_vehicles(self) -> list[tuple[str, int]]:
@@ -551,33 +494,21 @@ class FleetEngine:
                 service.breaker.record_success(f"{task.vehicle_id}:per-vehicle")
             else:
                 predictor = result
-            state = service._vehicles[task.vehicle_id]
-            state.model = predictor
-            state.model_trained_cycles = task.n_cycles
-            installed += 1
-            state.model_version = service._persist(
-                f"{task.vehicle_id}.per-vehicle",
+            service.install_model(
+                task.vehicle_id,
                 predictor,
-                strategy="per-vehicle",
                 trained_cycles=task.n_cycles,
+                version=service._persist(
+                    f"{task.vehicle_id}.per-vehicle",
+                    predictor,
+                    strategy="per-vehicle",
+                    trained_cycles=task.n_cycles,
+                ),
             )
+            installed += 1
         return installed
 
     # -- prediction --------------------------------------------------------
-
-    def _use_batched(self) -> bool:
-        """Whether batch prediction may take the grouped kernel path.
-
-        Injected prediction executors (the fault harness) keep the
-        per-vehicle fan-out so their failure schedules still apply;
-        resilient services are gated inside ``predict_batch`` itself
-        but skipping here avoids even entering it.
-        """
-        return (
-            self.config.batched_predict
-            and self.service.breaker is None
-            and self._prediction_executor_override is None
-        )
 
     def _ready_ids(self) -> list[str]:
         service = self.service
@@ -590,30 +521,19 @@ class FleetEngine:
     def predict_all(self, *, skip_unready: bool = True) -> list[Forecast]:
         """Forecast the whole fleet from the latest ingested day.
 
-        Refreshes stale old-vehicle models (parallel), pre-warms the
-        shared unified model, then fans per-vehicle prediction out over
-        threads.  Forecasts come back sorted by vehicle id; vehicles
-        with fewer than ``window + 1`` observed days are skipped when
-        ``skip_unready`` (else the underlying ``ValueError`` surfaces).
+        Refreshes stale old-vehicle models (parallel), then makes one
+        :meth:`~repro.serving.service.MaintenancePredictionService.
+        predict_batch` call.  Forecasts come back sorted by vehicle id;
+        vehicles with fewer than ``window + 1`` observed days are
+        skipped when ``skip_unready`` (else the underlying
+        ``ValueError`` surfaces).
         """
         with self._track_inflight():
-            service = self.service
             if self.config.auto_refresh:
                 self._refresh_models()
+            service = self.service
             ids = self._ready_ids() if skip_unready else service.vehicle_ids
-            if service.breaker is None and any(
-                service.category(vehicle_id) is VehicleCategory.NEW
-                for vehicle_id in ids
-            ):
-                # Train Model_Uni once before the fan-out; the per-call
-                # donor-set check then hits this cache read-only.  NEW
-                # vehicles are never donors, so exclude-self is a no-op.
-                # Resilient services skip the pre-warm so every unified
-                # attempt (and failure) is accounted on a vehicle's breaker.
-                service._ensure_unified_model()
-            if self._use_batched():
-                return service.predict_batch(ids)
-            return self._prediction_executor().map_ordered(service.predict, ids)
+            return service.predict_batch(ids)
 
     def predict_many(
         self,
@@ -626,91 +546,41 @@ class FleetEngine:
         ``spans`` aligns one trace span (or ``None``) per id *in the
         given order*: a micro-batch serves several requests with
         different traces, so the gateway passes each request's root
-        span explicitly and each vehicle's ``service.predict`` call is
-        recorded as an ``engine.predict`` child of its own root.
-        Sorting is stable, so spans stay attached to their ids.
-        Tracing only records — forecasts are bit-identical with spans
-        on or off.
-
-        Worker threads never touch the span objects on the plain hot
-        path: they capture raw ``perf_counter`` pairs and the
-        dispatching thread materialises the child spans afterwards
-        (cross-thread traffic on shared spans costs ~10x the span
-        machinery itself under load).  Services with a circuit breaker
-        instead activate the span *inside* the worker so the Section-4
-        ladder's breaker/fallback events land on the trace.
+        span explicitly.  The one ``predict_batch`` call runs each
+        vehicle's routing under its own span (so ladder events land on
+        the right trace), and each traced request then gets an
+        ``engine.predict`` child spanning the shared batch.  Sorting is
+        stable, so spans stay attached to their ids.  Tracing only
+        records — forecasts are bit-identical with spans on or off.
         """
         with self._track_inflight():
             if self.config.auto_refresh:
                 self._refresh_models()
             ids = list(vehicle_ids)
-            if spans is None or not any(s is not None for s in spans):
-                if self._use_batched():
-                    return self.service.predict_batch(sorted(ids))
-                return self._prediction_executor().map_ordered(
-                    self.service.predict, sorted(ids)
-                )
-            if len(spans) != len(ids):
+            if spans is None:
+                spans = [None] * len(ids)
+            elif len(spans) != len(ids):
                 raise ValueError(
                     f"spans must align with vehicle_ids: "
                     f"{len(spans)} != {len(ids)}."
                 )
             order = sorted(range(len(ids)), key=ids.__getitem__)
-            jobs = [(ids[i], spans[i]) for i in order]
-            if self.service.breaker is not None:
-                return self._prediction_executor().map_ordered(
-                    self._predict_traced, jobs
-                )
-            if self._use_batched():
-                # One grouped kernel pass for the whole micro-batch;
-                # each request still gets its own engine.predict child
-                # span (spanning the shared batch window) so traces
-                # keep their per-vehicle attribution.
-                t0 = time.perf_counter()
-                forecasts = self.service.predict_batch(
-                    [vehicle_id for vehicle_id, _ in jobs]
-                )
-                t1 = time.perf_counter()
-                for vehicle_id, span in jobs:
-                    if span is not None:
-                        span.tracer.record_span(
-                            "engine.predict",
-                            span,
-                            t0,
-                            t1,
-                            vehicle_id=vehicle_id,
-                            batched=True,
-                        )
-                return forecasts
-            predict = self.service.predict
-            timings: list[tuple[float, float] | None] = [None] * len(jobs)
-
-            def timed(index: int) -> Forecast:
-                t0 = time.perf_counter()
-                forecast = predict(jobs[index][0])
-                timings[index] = (t0, time.perf_counter())
-                return forecast
-
-            forecasts = self._prediction_executor().map_ordered(
-                timed, range(len(jobs))
-            )
-            for (vehicle_id, span), timing in zip(jobs, timings):
-                if span is not None and timing is not None:
+            ids = [ids[i] for i in order]
+            spans = [spans[i] for i in order]
+            t0 = time.perf_counter()
+            forecasts = self.service.predict_batch(ids, spans=spans)
+            t1 = time.perf_counter()
+            for vehicle_id, span in zip(ids, spans):
+                if span is not None:
                     span.tracer.record_span(
                         "engine.predict",
                         span,
-                        timing[0],
-                        timing[1],
+                        t0,
+                        t1,
                         vehicle_id=vehicle_id,
+                        batched=True,
                     )
             return forecasts
-
-    def _predict_traced(self, job: tuple) -> Forecast:
-        # Resilient path only: the active child span lets the strategy
-        # ladder attach breaker-open / rung-failed / fallback events.
-        vehicle_id, span = job
-        with tracing.child_span(span, "engine.predict", vehicle_id=vehicle_id):
-            return self.service.predict(vehicle_id)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -718,8 +588,7 @@ class FleetEngine:
         """Liveness/readiness snapshot for the serving layer.
 
         ``ready`` counts vehicles with enough observed days
-        (``> window``) to serve a forecast right now; ``cache`` is the
-        cycle-cache hit/miss breakdown (``None`` without a cache).
+        (``> window``) to serve a forecast right now.
         """
         service = self.service
         ready = sum(
@@ -731,7 +600,6 @@ class FleetEngine:
             "vehicles": len(service.vehicle_ids),
             "ready": ready,
             "inflight": self._inflight,
-            "cache": self.cache_stats,
             "durability": (
                 None if self.durability is None else self.durability.status()
             ),
@@ -755,7 +623,6 @@ class FleetEngine:
             "drift": (
                 {} if service.monitor is None else service.monitor.counters()
             ),
-            "cache": self.cache_stats or {},
             "kernel": service.kernel_cache.stats(),
         }
         if self.durability is not None:

@@ -18,7 +18,7 @@ JSON-over-HTTP front end on :class:`~repro.serving.engine.FleetEngine`:
 ``GET /v1/metrics``
     The consolidated :class:`~repro.obs.MetricsRegistry` snapshot:
     gateway request/error/queue/batch/latency counters plus the fleet
-    health, drift, cache, tracing and profiling sections.
+    health, drift, kernel, tracing and profiling sections.
 ``GET /v1/trace/{request_id}``
     The recorded trace (spans + events) of one earlier request.
 ``GET /v1/lifecycle``
@@ -993,7 +993,7 @@ class FleetGateway:
         sections = self.engine.metrics_sections()
         merged: dict[str, dict] = {}
         for section in sections:
-            for name in ("fleet", "drift", "cache"):
+            for name in ("fleet", "drift"):
                 part = section.get(name) or {}
                 bucket = merged.setdefault(name, {})
                 for key, value in part.items():

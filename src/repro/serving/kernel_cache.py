@@ -4,25 +4,26 @@ The service's Section-4 routing serves a handful of *shared* model
 identities — each old vehicle's champion, the fleet-wide ``Model_Uni``,
 one ``Model_Sim`` per similarity donor.  Flattening an ensemble into its
 :mod:`repro.learn.compiled` kernel costs a few milliseconds, so the
-batched predict path caches one compiled artifact per serving scope and
-revalidates it on every lookup against both the live model object
-(identity) and the scope's version token (store version, unified donor
-set, similarity key).  Either changing — lifecycle promotion, rollback,
-checkpoint restore, retrain, donor change — makes the next lookup a
-miss that recompiles against the new model; explicit
-:meth:`CompiledModelCache.invalidate` hooks cover the lifecycle paths
-that swap models without changing version numbers.
+predict path caches one compiled artifact per serving scope.  Each
+entry holds a *weak reference* to the model it was compiled from and
+hits only while that reference still resolves to the very object being
+looked up (and the scope's version token matches).  A retrained,
+promoted, rolled-back or restored model is a different object, so the
+lookup misses and recompiles — even when the new model lives at a
+freed model's address (CPython reuses addresses, so ``id()`` alone
+cannot tell the two apart).  :meth:`CompiledModelCache.invalidate`
+only releases memory early; correctness never depends on it.
 
-All counters mutate under one lock (the cycle cache's stats race taught
-that lesson); :meth:`stats` is the consolidated-metrics ``kernel``
-section: compile count/time, hit rate, and a rows-per-batch histogram
-in power-of-two buckets.
+All counters mutate under one lock; :meth:`stats` is the
+consolidated-metrics ``kernel`` section: compile count/time, hit rate,
+and a rows-per-batch histogram in power-of-two buckets.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 
 from ..learn.compiled import try_compile
 
@@ -34,10 +35,13 @@ class CompiledModelCache:
 
     def __init__(self):
         self._lock = threading.Lock()
-        # scope -> (model id(), version token, compiled kernel | None).
-        # ``None`` kernels are cached too: an uncompilable model should
-        # not re-attempt compilation on every batch.
-        self._entries: dict[str, tuple[int, object, object | None]] = {}
+        # scope -> (weakref to the model, version token, compiled
+        # kernel | None).  ``None`` kernels are cached too: an
+        # uncompilable model should not re-attempt compilation on
+        # every batch.
+        self._entries: dict[
+            str, tuple[weakref.ref, object, object | None]
+        ] = {}
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -55,12 +59,11 @@ class CompiledModelCache:
         comparable value).  Returns ``None`` when the model cannot be
         compiled — callers fall back to the model's own ``predict``.
         """
-        token = id(model)
         with self._lock:
             entry = self._entries.get(scope)
             if (
                 entry is not None
-                and entry[0] == token
+                and entry[0]() is model
                 and entry[1] == version
             ):
                 self._hits += 1
@@ -72,7 +75,7 @@ class CompiledModelCache:
             self._misses += 1
             self._compile_count += 1
             self._compile_seconds += elapsed
-            self._entries[scope] = (token, version, compiled)
+            self._entries[scope] = (weakref.ref(model), version, compiled)
         return compiled
 
     def invalidate(self, scope: str | None = None) -> int:

@@ -22,11 +22,13 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..core.categorize import VehicleCategory, categorize_usage
 from ..core.coldstart import first_cycle_dataset
+from ..core.cycles import IncrementalSeriesState
 from ..core.predictors import BaselinePredictor
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
@@ -36,7 +38,6 @@ from ..dataprep.transformation import (
     build_relational_dataset,
 )
 from ..similarity.measures import most_similar
-from .cycle_cache import CycleStateCache
 from .kernel_cache import CompiledModelCache
 from .monitoring import DriftMonitor
 from .persistence import ModelStore
@@ -50,9 +51,11 @@ from .reliability import (
 
 __all__ = ["Forecast", "MaintenancePredictionService"]
 
-#: Section-4 strategy ladder per category: on repeated failures the
-#: resilient service steps down rung by rung, ending at the Eq. 5-6
-#: baseline (which needs only the vehicle's own usage history).
+#: Section-4 strategy ladder per category.  Routing takes the first
+#: rung with a model; a rung without donors steps down silently, and
+#: the resilient service also steps down on an open circuit or a
+#: failure, ending at the Eq. 5-6 baseline (which needs only the
+#: vehicle's own usage history).
 _STRATEGY_LADDER: dict[VehicleCategory, tuple[str, ...]] = {
     VehicleCategory.OLD: ("per-vehicle", "similarity", "unified"),
     VehicleCategory.SEMI_NEW: ("similarity", "unified"),
@@ -178,12 +181,46 @@ class _VehicleState:
     sim_key: tuple | None = None  # (donor id, donor cycle count)
     pending: list = field(default_factory=list)  # (day, predicted, strategy)
     resolved_through_cycle: int = 0
-    # (id(usage buffer), n_days) -> category memo: the buffer is
-    # append-only, so a category computed at a given length never
-    # changes; donor scans re-categorize the whole fleet otherwise.
-    category_memo: tuple[int, int, VehicleCategory] | None = field(
+    # The usage buffer is append-only, so both derived views below only
+    # ever move forward: the incremental C/L/D state folds in the days
+    # ingested since the last series() call, and a category computed
+    # at a given length never changes (donor scans re-categorize the
+    # whole fleet otherwise).
+    cycles: IncrementalSeriesState | None = field(default=None, repr=False)
+    category_memo: tuple[int, VehicleCategory] | None = field(
         default=None, repr=False
     )
+
+
+class _Plan:
+    """One vehicle's trip through :meth:`MaintenancePredictionService.
+    predict_batch`: its feature row, the ladder rung it routed to, the
+    fallback reasons collected on the way, and the prediction."""
+
+    __slots__ = (
+        "vehicle_id",
+        "category",
+        "row",
+        "usage_left",
+        "today",
+        "span",
+        "rung",
+        "strategy",
+        "model",
+        "donor_id",
+        "scope",
+        "reasons",
+        "prediction",
+    )
+
+    def __init__(self, vehicle_id, category, row, usage_left, today, span):
+        self.vehicle_id = vehicle_id
+        self.category = category
+        self.row = row
+        self.usage_left = usage_left
+        self.today = today
+        self.span = span
+        self.reasons: list[str] = []
 
 
 #: Audit-trail cap for :attr:`MaintenancePredictionService.lifecycle_log`.
@@ -213,12 +250,6 @@ class MaintenancePredictionService:
         Optional :class:`DriftMonitor` fed with resolved residuals.
     similarity_measure:
         Donor-selection measure for semi-new vehicles.
-    cycle_cache:
-        ``True`` (or a shared :class:`CycleStateCache`) switches
-        :meth:`series` to the incremental cycle-state path: appending a
-        day updates ``C``/``L``/``D`` in O(1) instead of re-deriving the
-        full history.  Derived series are bit-identical to the default
-        from-scratch path (the equivalence suite pins this).
     guard:
         Optional :class:`IngestionGuard`; when set, :meth:`ingest` never
         raises on a dirty reading — each anomaly is rejected, clamped,
@@ -226,11 +257,11 @@ class MaintenancePredictionService:
         ``None`` (default) invalid readings raise as before.
     breaker:
         Optional :class:`CircuitBreaker` (``True`` for defaults).  When
-        set, :meth:`predict` becomes degraded-mode tolerant: a failing
+        set, prediction becomes degraded-mode tolerant: a failing
         training/prediction rung steps down the Section-4 ladder to the
         Eq. 5-6 baseline instead of raising, and persistence errors are
         swallowed and counted.  On clean data every forecast stays
-        bit-identical to the non-resilient path.
+        bit-identical to the non-resilient service.
     retry:
         Optional :class:`RetryPolicy` applied around model persistence
         (transient save I/O errors are retried with jittered backoff).
@@ -259,7 +290,6 @@ class MaintenancePredictionService:
         store: ModelStore | None = None,
         monitor: DriftMonitor | None = None,
         similarity_measure="average_usage",
-        cycle_cache: CycleStateCache | bool | None = None,
         guard: IngestionGuard | None = None,
         breaker: CircuitBreaker | bool | None = None,
         retry: RetryPolicy | None = None,
@@ -277,11 +307,6 @@ class MaintenancePredictionService:
         self.store = store
         self.monitor = monitor
         self.similarity_measure = similarity_measure
-        if cycle_cache is True:
-            cycle_cache = CycleStateCache()
-        elif cycle_cache is False:
-            cycle_cache = None
-        self.cycle_cache: CycleStateCache | None = cycle_cache
         self.guard = guard
         if breaker is True:
             breaker = CircuitBreaker()
@@ -305,8 +330,8 @@ class MaintenancePredictionService:
         self._vehicles: dict[str, _VehicleState] = {}
         self._unified_model = None
         self._unified_trained_on: frozenset[str] = frozenset()
-        #: Compiled-kernel cache for the batched predict path, keyed by
-        #: serving scope with version-token invalidation.
+        #: Compiled-kernel cache of the predict path, keyed by serving
+        #: scope and weakly on the live model.
         self.kernel_cache = CompiledModelCache()
         # Shared fitted Model_Sim per donor: every semi-new vehicle with
         # the same (deterministically trained) donor serves the same
@@ -363,7 +388,7 @@ class MaintenancePredictionService:
         """Observed days for one vehicle without deriving its series.
 
         The gateway's admission check calls this per request; unlike
-        :meth:`series` it never touches the cycle cache, so it is safe
+        :meth:`series` it never extends the cycle state, so it is safe
         from any thread.
         """
         return len(self._state(vehicle_id).usage)
@@ -459,31 +484,35 @@ class MaintenancePredictionService:
     # -- vehicle views ---------------------------------------------------------
 
     def series(self, vehicle_id: str) -> VehicleSeries:
+        """The vehicle's ``C``/``L``/``D`` series as of its latest day.
+
+        Only the days ingested since the previous call are folded into
+        the vehicle's incremental cycle state — O(new days) instead of
+        re-deriving the whole history, and bit-identical to
+        :func:`~repro.core.cycles.derive_series`.
+        """
         state = self._state(vehicle_id)
-        if self.cycle_cache is not None:
-            bundle = self.cycle_cache.bundle(
-                vehicle_id, state.usage, self.t_v
-            )
-            return VehicleSeries(
-                vehicle_id=vehicle_id,
-                usage=bundle.usage,
-                t_v=self.t_v,
-                _bundle=bundle,
-            )
+        cycles = state.cycles
+        if cycles is None:
+            cycles = state.cycles = IncrementalSeriesState(self.t_v)
+        if cycles.n_days < len(state.usage):
+            cycles.extend(state.usage[cycles.n_days :])
+        bundle = cycles.bundle()
         return VehicleSeries(
             vehicle_id=vehicle_id,
-            usage=np.asarray(state.usage, dtype=np.float64),
+            usage=bundle.usage,
             t_v=self.t_v,
+            _bundle=bundle,
         )
 
     def category(self, vehicle_id: str) -> VehicleCategory:
         state = self._state(vehicle_id)
-        key = (id(state.usage), len(state.usage))
+        n_days = len(state.usage)
         memo = state.category_memo
-        if memo is not None and memo[:2] == key:
-            return memo[2]
+        if memo is not None and memo[0] == n_days:
+            return memo[1]
         category = categorize_usage(np.asarray(state.usage), self.t_v)
-        state.category_memo = (*key, category)
+        state.category_memo = (n_days, category)
         return category
 
     def _old_vehicles(self, exclude: str | None = None) -> list[VehicleSeries]:
@@ -552,10 +581,13 @@ class MaintenancePredictionService:
             artifact = self.store.load(
                 f"{vehicle_id}.per-vehicle", state.pinned_version
             )
-            state.model = artifact.predictor
-            state.model_version = artifact.version
-            state.model_trained_cycles = int(
-                artifact.metadata.get("trained_cycles", -1)
+            self.install_model(
+                vehicle_id,
+                artifact.predictor,
+                trained_cycles=int(
+                    artifact.metadata.get("trained_cycles", -1)
+                ),
+                version=artifact.version,
             )
             return state.model
         series = self.series(vehicle_id)
@@ -598,13 +630,16 @@ class MaintenancePredictionService:
                 )
             predictor = self._make_predictor(self.algorithm)
             predictor.fit(dataset, usage=series.usage)
-        state.model = predictor
-        state.model_trained_cycles = n_cycles
-        state.model_version = self._persist(
-            f"{vehicle_id}.per-vehicle",
+        self.install_model(
+            vehicle_id,
             predictor,
-            strategy="per-vehicle",
             trained_cycles=n_cycles,
+            version=self._persist(
+                f"{vehicle_id}.per-vehicle",
+                predictor,
+                strategy="per-vehicle",
+                trained_cycles=n_cycles,
+            ),
         )
         return predictor
 
@@ -662,8 +697,8 @@ class MaintenancePredictionService:
         # One fitted model per donor, shared by every target vehicle
         # that routes to it: training is deterministic (fixed seed,
         # donor-only data), so sharing is bit-identical to per-target
-        # fits — and a shared object is what lets the batched predict
-        # path stack same-donor vehicles into one kernel call.
+        # fits — and a shared object is what lets predict_batch stack
+        # same-donor vehicles into one kernel call.
         shared = self._sim_donor_models.get(donor_id)
         if shared is not None and shared[0] == cache_key:
             predictor = shared[1]
@@ -728,19 +763,19 @@ class MaintenancePredictionService:
     ) -> None:
         """Atomically swap a vehicle's serving model.
 
-        Metadata lands first and the ``model`` reference is assigned
-        last — a concurrent :meth:`predict` sees either the old
-        champion or the fully-described new one, never a half-installed
-        model (zero serving interruption).
+        Every per-vehicle model — trained on predict, retrained by the
+        engine's refresh, promoted, rolled back or reloaded — is
+        installed here.  Metadata lands first and the ``model``
+        reference is assigned last — a concurrent :meth:`predict` sees
+        either the old champion or the fully-described new one, never a
+        half-installed model (zero serving interruption).
         """
         state = self._state(vehicle_id)
         state.model_trained_cycles = int(trained_cycles)
         state.model_version = None if version is None else int(version)
         state.model = predictor
-        # The old champion's compiled kernel must never serve the new
-        # model (identity/version checks would catch it on lookup, but
-        # dropping the entry keeps the cache from pinning the old
-        # model's flattened tables in memory).
+        # The kernel cache already misses on the new model object; this
+        # only stops it pinning the old champion's flattened tables.
         self.kernel_cache.invalidate(f"{vehicle_id}:per-vehicle")
 
     def apply_lifecycle_event(
@@ -859,134 +894,164 @@ class MaintenancePredictionService:
             row[0, 1:] = series.usage[today - self.window : today][::-1]
         return row, float(usage_left), today
 
-    def _attempt_strategy(self, strategy: str, vehicle_id: str):
-        """(model, donor_id) for one ladder rung; model None = no donors."""
+    def _rung_model(self, strategy: str, vehicle_id: str):
+        """``(model, donor_id, kernel scope)`` for one ladder rung; a
+        ``None`` model means the rung has no donors yet.  The scope is
+        ``(cache scope, version token)`` for :attr:`kernel_cache`."""
         if strategy == "per-vehicle":
-            return self._ensure_vehicle_model(vehicle_id), None
+            model = self._ensure_vehicle_model(vehicle_id)
+            version = self._state(vehicle_id).model_version
+            return model, None, (f"{vehicle_id}:per-vehicle", version)
         if strategy == "similarity":
-            return self._similarity_model(vehicle_id)
-        return self._ensure_unified_model(exclude=vehicle_id), None
+            model, donor_id = self._similarity_model(vehicle_id)
+            sim_key = self._state(vehicle_id).sim_key
+            return model, donor_id, (f"sim:{donor_id}", sim_key)
+        model = self._ensure_unified_model(exclude=vehicle_id)
+        return model, None, ("fleet:unified", self._unified_trained_on)
 
     def _count_fallback(self, vehicle_id: str, strategy: str) -> None:
         self._fallback_counts.setdefault(vehicle_id, Counter())[strategy] += 1
 
-    def _predict_resilient(
-        self, vehicle_id: str, category: VehicleCategory, row: np.ndarray
-    ) -> tuple[float, str, str | None, str | None]:
-        """Walk the Section-4 ladder under the circuit breaker.
+    def _rung_failed(self, plan: _Plan, exc: Exception) -> None:
+        """Charge a failed train or predict to the plan's current rung."""
+        self.breaker.record_failure(f"{plan.vehicle_id}:{plan.strategy}")
+        error = f"{type(exc).__name__}: {exc}"
+        plan.reasons.append(f"{plan.strategy}: {error}")
+        tracing.add_event(
+            "rung-failed",
+            vehicle_id=plan.vehicle_id,
+            strategy=plan.strategy,
+            error=error,
+        )
 
-        Returns ``(prediction, strategy, donor_id, fallback_reason)``;
-        the reason is ``None`` when the primary routing succeeded (a
-        donor-less baseline is normal routing, not degradation).
+    def _route(self, plan: _Plan, rung: int) -> None:
+        """Point ``plan`` at the first servable ladder rung from ``rung``.
+
+        A rung without donors steps down silently — that is normal
+        Section-4 routing, not degradation.  Without a breaker a failing
+        rung raises; with one, an open circuit or a failed train steps
+        down and is recorded in ``plan.reasons``.  Past the last rung
+        the vehicle gets the Eq. 5-6 baseline.
         """
-        reasons: list[str] = []
-        for strategy in _STRATEGY_LADDER[category]:
-            key = f"{vehicle_id}:{strategy}"
-            if not self.breaker.allow(key):
-                reasons.append(f"{strategy}: circuit open")
+        vehicle_id = plan.vehicle_id
+        ladder = _STRATEGY_LADDER[plan.category]
+        breaker = self.breaker
+        for index in range(rung, len(ladder)):
+            plan.strategy = strategy = ladder[index]
+            if breaker is None:
+                model, donor_id, scope = self._rung_model(strategy, vehicle_id)
+            elif not breaker.allow(f"{vehicle_id}:{strategy}"):
+                plan.reasons.append(f"{strategy}: circuit open")
                 tracing.add_event(
                     "breaker-open", vehicle_id=vehicle_id, strategy=strategy
                 )
                 continue
-            try:
-                model, donor_id = self._attempt_strategy(strategy, vehicle_id)
-                if model is None:
-                    continue  # no donors available: normal routing
-                prediction = float(max(model.predict(row)[0], 0.0))
-            except Exception as exc:
-                self.breaker.record_failure(key)
-                reasons.append(f"{strategy}: {type(exc).__name__}: {exc}")
-                tracing.add_event(
-                    "rung-failed",
-                    vehicle_id=vehicle_id,
-                    strategy=strategy,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            self.breaker.record_success(key)
-            reason = "; ".join(reasons) or None
-            if reasons:
-                self._count_fallback(vehicle_id, strategy)
-                tracing.add_event(
-                    "fallback",
-                    vehicle_id=vehicle_id,
-                    strategy=strategy,
-                    fallback_reason=reason,
-                )
-            return prediction, strategy, donor_id, reason
-        baseline = self._baseline_model(vehicle_id)
-        prediction = float(max(baseline.predict(row)[0], 0.0))
-        reason = "; ".join(reasons) or None
-        if reason is not None:
-            self._count_fallback(vehicle_id, "baseline")
-            tracing.add_event(
-                "fallback",
-                vehicle_id=vehicle_id,
-                strategy="baseline",
-                fallback_reason=reason,
-            )
-        return prediction, "baseline", None, reason
+            else:
+                try:
+                    model, donor_id, scope = self._rung_model(
+                        strategy, vehicle_id
+                    )
+                except Exception as exc:
+                    self._rung_failed(plan, exc)
+                    continue
+            if model is not None:
+                plan.rung = index
+                plan.model, plan.donor_id, plan.scope = model, donor_id, scope
+                return
+        plan.rung = len(ladder)
+        plan.strategy = "baseline"
+        plan.model = self._baseline_model(vehicle_id)
+        plan.donor_id = plan.scope = None
 
-    def predict(self, vehicle_id: str) -> Forecast:
-        """Forecast days to next maintenance from the latest ingested day.
-
-        With a :attr:`breaker`, any failing rung of the Section-4 ladder
-        steps down to the next one (ending at the Eq. 5-6 baseline) and
-        the forecast is flagged ``degraded`` with the reason; without
-        one, a rung failure raises as before.
-        """
-        # No dedicated span here: the engine's ``engine.predict`` child
-        # already times this boundary, and when a span is active in
-        # this context (resilient services, direct calls) the stage
-        # timer stamps a ``stage_ms:predict`` attribute onto it — a
-        # second span per request would only cost hot-path
-        # microseconds (the gateway bench holds tracing to < 5%
-        # throughput).
-        with self._stage("predict", vehicle_id=vehicle_id):
-            return self._predict(vehicle_id)
-
-    def _predict(self, vehicle_id: str) -> Forecast:
+    def _plan(self, vehicle_id: str, span) -> _Plan:
+        """Step 1 for one vehicle: feature row plus Section-4 routing."""
         series = self.series(vehicle_id)
         if series.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
         category = self.category(vehicle_id)
         with self._stage("feature-build", vehicle_id=vehicle_id):
             row, usage_left, today = self._feature_row(series)
+        plan = _Plan(vehicle_id, category, row, usage_left, today, span)
+        with tracing.activate(span):
+            self._route(plan, 0)
+        return plan
 
-        if self.breaker is not None:
-            prediction, strategy, donor_id, reason = self._predict_resilient(
-                vehicle_id, category, row
+    def _run_kernels(self, plans: list[_Plan]) -> list[_Plan]:
+        """Step 2: one kernel call per shared model object.
+
+        Kernels flagged not batch-safe (linear matvecs) run one row at a
+        time, as do models without a compiled kernel, through their own
+        trusted ``predict``.  With a breaker, a failed call charges one
+        failure to each vehicle it covered and re-routes those vehicles
+        one rung down; they are returned for another pass.
+        """
+        groups: dict[int, list[_Plan]] = {}
+        for plan in plans:
+            groups.setdefault(id(plan.model), []).append(plan)
+        breaker = self.breaker
+        rerouted = []
+        for group in groups.values():
+            model, scope = group[0].model, group[0].scope
+            compiled = (
+                None
+                if scope is None
+                else self.kernel_cache.get(scope[0], model, scope[1])
             )
-        else:
-            donor_id = None
-            if category is VehicleCategory.OLD:
-                model = self._ensure_vehicle_model(vehicle_id)
-                strategy = "per-vehicle"
-            elif category is VehicleCategory.SEMI_NEW:
-                model, donor_id = self._similarity_model(vehicle_id)
-                strategy = "similarity"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-            else:  # NEW
-                model = self._ensure_unified_model(exclude=vehicle_id)
-                strategy = "unified"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-            prediction = float(max(model.predict(row)[0], 0.0))
-            reason = None
+            if compiled is not None:
+                predict = compiled.predict
+            elif getattr(model, "trusted_predict", False):
+                predict = partial(model.predict, validate=False)
+            else:
+                predict = model.predict
+            if compiled is not None and compiled.batch_safe and len(group) > 1:
+                calls = [(group, np.concatenate([p.row for p in group]))]
+            else:
+                calls = [([plan], plan.row) for plan in group]
+            for members, X in calls:
+                try:
+                    out = predict(X)
+                except Exception as exc:
+                    if breaker is None or members[0].strategy == "baseline":
+                        raise
+                    for plan in members:
+                        with tracing.activate(plan.span):
+                            self._rung_failed(plan, exc)
+                            self._route(plan, plan.rung + 1)
+                    rerouted.extend(members)
+                    continue
+                if compiled is not None:
+                    self.kernel_cache.record_batch(len(members))
+                for plan, value in zip(members, out):
+                    plan.prediction = float(max(value, 0.0))
+                    if breaker is not None and plan.strategy != "baseline":
+                        breaker.record_success(
+                            f"{plan.vehicle_id}:{plan.strategy}"
+                        )
+        return rerouted
 
+    def _forecast(self, plan: _Plan) -> Forecast:
+        """Step 3 for one vehicle: pending record, fallback accounting."""
+        vehicle_id, strategy = plan.vehicle_id, plan.strategy
         state = self._state(vehicle_id)
-        state.pending.append((today, prediction, strategy))
+        state.pending.append((plan.today, plan.prediction, strategy))
+        reason = "; ".join(plan.reasons) or None
+        if reason is not None:
+            self._count_fallback(vehicle_id, strategy)
+            with tracing.activate(plan.span):
+                tracing.add_event(
+                    "fallback",
+                    vehicle_id=vehicle_id,
+                    strategy=strategy,
+                    fallback_reason=reason,
+                )
         return Forecast(
             vehicle_id=vehicle_id,
-            category=category,
+            category=plan.category,
             strategy=strategy,
-            days_to_maintenance=prediction,
-            usage_left=usage_left,
-            as_of_day=today,
-            donor_id=donor_id,
+            days_to_maintenance=plan.prediction,
+            usage_left=plan.usage_left,
+            as_of_day=plan.today,
+            donor_id=plan.donor_id,
             degraded=reason is not None,
             fallback_reason=reason,
             model_version=(
@@ -994,142 +1059,46 @@ class MaintenancePredictionService:
             ),
         )
 
-    def predict_batch(self, vehicle_ids: list[str]) -> list[Forecast]:
+    def predict(self, vehicle_id: str) -> Forecast:
+        """Forecast days to next maintenance from the latest ingested day
+        — :meth:`predict_batch` of one vehicle."""
+        return self.predict_batch([vehicle_id])[0]
+
+    def predict_batch(self, vehicle_ids, spans=None) -> list[Forecast]:
         """Forecast many vehicles through shared compiled kernels.
 
-        Three phases, bit-identical to calling :meth:`predict` per id:
+        The one prediction pipeline, in three steps:
 
-        1. route every vehicle through the Section-4 matrix exactly as
-           the serial path does (same training, same model caches, in
-           the given order);
-        2. group vehicles by the *model object* they resolved to, fetch
-           that model's compiled kernel from :attr:`kernel_cache`, and
-           run one stacked kernel call per group (kernels flagged not
-           batch-safe — linear matvecs — run row-at-a-time through the
-           same kernel; uncompilable models fall back to their own
-           trusted ``predict``);
+        1. route every vehicle through the Section-4 matrix in input
+           order (training and model caches exactly as consecutive
+           single predictions would), the breaker ladder included;
+        2. group the vehicles by the *model object* they routed to and
+           make one kernel call per group; with a breaker, a failed
+           call re-routes its vehicles one rung down and repeats;
         3. record pending forecasts and build the :class:`Forecast`
            objects in input order.
 
         Grouping is sound because tree-ensemble kernels are pure
         gathers plus row-separable elementwise aggregation — row ``i``
         of a stacked batch is bitwise the single-row prediction.
-        Resilient services (with a circuit breaker) fall back to
-        per-vehicle :meth:`predict` so ladder accounting is unchanged.
+
+        With a :attr:`breaker`, a failing rung steps down the ladder
+        (ending at the Eq. 5-6 baseline) and the forecast is flagged
+        ``degraded`` with the reason; without one, a failure raises.
+        ``spans`` aligns one trace span (or ``None``) per id: each
+        vehicle's routing runs with its span active, so ladder events
+        land on the trace of the request that asked for it.
         """
         ids = list(vehicle_ids)
-        if self.breaker is not None:
-            return [self.predict(vehicle_id) for vehicle_id in ids]
         with self._stage("predict", vehicles=len(ids)):
-            return self._predict_batch(ids)
-
-    def _predict_batch(self, ids: list[str]) -> list[Forecast]:
-        # Phase 1: serial Section-4 routing (models trained/cached in
-        # input order, exactly like consecutive predict() calls).
-        plans = []
-        for vehicle_id in ids:
-            series = self.series(vehicle_id)
-            if series.n_days == 0:
-                raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
-            category = self.category(vehicle_id)
-            with self._stage("feature-build", vehicle_id=vehicle_id):
-                row, usage_left, today = self._feature_row(series)
-            donor_id = None
-            scope = None  # (cache scope, version token); None = uncached
-            if category is VehicleCategory.OLD:
-                model = self._ensure_vehicle_model(vehicle_id)
-                strategy = "per-vehicle"
-                scope = (
-                    f"{vehicle_id}:per-vehicle",
-                    self._state(vehicle_id).model_version,
-                )
-            elif category is VehicleCategory.SEMI_NEW:
-                model, donor_id = self._similarity_model(vehicle_id)
-                strategy = "similarity"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-                else:
-                    scope = (
-                        f"sim:{donor_id}",
-                        self._state(vehicle_id).sim_key,
-                    )
-            else:  # NEW
-                model = self._ensure_unified_model(exclude=vehicle_id)
-                strategy = "unified"
-                if model is None:
-                    model = self._baseline_model(vehicle_id)
-                    strategy = "baseline"
-                else:
-                    scope = ("fleet:unified", self._unified_trained_on)
-            plans.append(
-                (vehicle_id, row, usage_left, today, category, model,
-                 strategy, donor_id, scope)
-            )
-
-        # Phase 2: one kernel call per shared model identity.
-        predictions: list[float | None] = [None] * len(plans)
-        groups: dict[int, list[int]] = {}
-        for index, plan in enumerate(plans):
-            groups.setdefault(id(plan[5]), []).append(index)
-        for indices in groups.values():
-            model = plans[indices[0]][5]
-            scope = plans[indices[0]][8]
-            compiled = (
-                self.kernel_cache.get(scope[0], model, scope[1])
-                if scope is not None
-                else None
-            )
-            if compiled is not None and compiled.batch_safe and len(indices) > 1:
-                X = np.concatenate([plans[i][1] for i in indices], axis=0)
-                out = compiled.predict(X)
-                self.kernel_cache.record_batch(len(indices))
-                for position, i in enumerate(indices):
-                    predictions[i] = float(max(out[position], 0.0))
-            elif compiled is not None:
-                # Not batch-safe (linear matvec) or a single row: the
-                # compiled kernel still skips per-call validation.
-                for i in indices:
-                    out = compiled.predict(plans[i][1])
-                    self.kernel_cache.record_batch(1)
-                    predictions[i] = float(max(out[0], 0.0))
-            else:
-                trusted = getattr(model, "trusted_predict", False)
-                for i in indices:
-                    row = plans[i][1]
-                    out = (
-                        model.predict(row, validate=False)
-                        if trusted
-                        else model.predict(row)
-                    )
-                    predictions[i] = float(max(out[0], 0.0))
-
-        # Phase 3: bookkeeping and Forecast construction, input order.
-        forecasts = []
-        for plan, prediction in zip(plans, predictions):
-            vehicle_id, _, usage_left, today, category = plan[:5]
-            strategy, donor_id = plan[6], plan[7]
-            state = self._state(vehicle_id)
-            state.pending.append((today, prediction, strategy))
-            forecasts.append(
-                Forecast(
-                    vehicle_id=vehicle_id,
-                    category=category,
-                    strategy=strategy,
-                    days_to_maintenance=prediction,
-                    usage_left=usage_left,
-                    as_of_day=today,
-                    donor_id=donor_id,
-                    degraded=False,
-                    fallback_reason=None,
-                    model_version=(
-                        state.model_version
-                        if strategy == "per-vehicle"
-                        else None
-                    ),
-                )
-            )
-        return forecasts
+            plans = [
+                self._plan(vehicle_id, None if spans is None else spans[i])
+                for i, vehicle_id in enumerate(ids)
+            ]
+            pending = plans
+            while pending:
+                pending = self._run_kernels(pending)
+            return [self._forecast(plan) for plan in plans]
 
     # -- health ----------------------------------------------------------------
 
@@ -1296,8 +1265,6 @@ class MaintenancePredictionService:
         # Restored states may pin different model versions than the
         # ones that were serving: every compiled kernel is stale.
         self.kernel_cache.invalidate()
-        if self.cycle_cache is not None:
-            self.cycle_cache.invalidate()
 
     # -- feedback loop -----------------------------------------------------------
 

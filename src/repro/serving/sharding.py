@@ -16,8 +16,8 @@ process**, each owning an exclusive slice of the fleet:
   mapping is total, deterministic across interpreter restarts and
   ``PYTHONHASHSEED`` values, and stable for a fixed shard count;
   growing the ring moves only the keys claimed by the new shard.
-* **shared-nothing state** — each worker holds its own service, cycle
-  cache, drift monitor, model store partition, journal + checkpoint
+* **shared-nothing state** — each worker holds its own service,
+  drift monitor, model store partition, journal + checkpoint
   directory (``shard-00/ …``) and lifecycle controller.  Workers
   recover their journal partitions in parallel at startup (all
   processes replay concurrently; the parent waits for every ready
@@ -255,7 +255,6 @@ def _shard_worker_main(conn, shard_index: int, factory, options: dict) -> None:
         "health": engine.health,
         "readiness": engine.readiness,
         "metrics_section": engine.metrics_section,
-        "cache_stats": lambda: engine.cache_stats,
         "drain": engine.drain,
         "lifecycle": do_lifecycle,
         "checkpoint": do_checkpoint,
@@ -604,18 +603,11 @@ class ShardedFleetEngine:
             "vehicles": sum(r["vehicles"] for r in per_shard),
             "ready": sum(r["ready"] for r in per_shard),
             "inflight": sum(r["inflight"] for r in per_shard),
-            "cache": self._merge_counter_dicts(
-                [r["cache"] for r in per_shard]
-            ),
             "shards": {
                 str(index): report for index, report in enumerate(per_shard)
             },
         }
         return merged
-
-    @property
-    def cache_stats(self) -> dict[str, int] | None:
-        return self._merge_counter_dicts(self.scatter("cache_stats"))
 
     @staticmethod
     def _merge_counter_dicts(dicts: list) -> dict | None:

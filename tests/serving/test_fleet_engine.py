@@ -6,15 +6,13 @@ predictions must be *identical* (exact float equality, not approx) to
 the serial :class:`MaintenancePredictionService` path.
 """
 
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from repro.core.categorize import VehicleCategory
 from repro.core.cycles import derive_series
-from repro.serving.cycle_cache import CycleStateCache
 from repro.serving.engine import EngineConfig, FleetEngine
 from repro.serving.executor import FleetExecutor
 from repro.serving.service import MaintenancePredictionService
@@ -226,29 +224,6 @@ class TestEngineBehavior:
         )
         assert engine.predict_many(old_ids) == reference
 
-    def test_cache_stats_exposed(self):
-        usage_map = random_fleet(9)
-        engine = build_engine(
-            usage_map, EngineConfig(max_workers=1), window=0, algorithm="LR"
-        )
-        engine.predict_all()
-        stats = engine.cache_stats
-        assert stats is not None and stats["hits"] > 0
-
-    def test_engine_without_cache(self):
-        usage_map = random_fleet(10)
-        reference = serial_forecasts(
-            build_serial(usage_map, window=0, algorithm="LR")
-        )
-        engine = build_engine(
-            usage_map,
-            EngineConfig(max_workers=2, use_cycle_cache=False),
-            window=0,
-            algorithm="LR",
-        )
-        assert engine.service.cycle_cache is None
-        assert engine.predict_all() == reference
-
     def test_rejects_service_kwargs_with_service(self):
         service = MaintenancePredictionService(t_v=T_V)
         with pytest.raises(ValueError, match="service_kwargs"):
@@ -257,11 +232,13 @@ class TestEngineBehavior:
 
 class TestCycleStateCache:
     def test_append_path_matches_full_derivation(self):
-        cache = CycleStateCache()
+        service = MaintenancePredictionService(t_v=T_V)
+        service.register_vehicle("v")
         rng = np.random.default_rng(0)
         usage = rng.uniform(0, 30_000, size=60)
         for n in range(1, usage.size + 1):
-            bundle = cache.bundle("v", usage[:n], T_V)
+            service.ingest("v", float(usage[n - 1]))
+            bundle = service.series("v").bundle
             full = derive_series(usage[:n], T_V)
             assert bundle.cycles == full.cycles
             assert np.array_equal(
@@ -272,108 +249,53 @@ class TestCycleStateCache:
                 full.days_to_maintenance,
                 equal_nan=True,
             )
-        stats = cache.stats
-        assert stats.misses == 1 and stats.hits == usage.size - 1
 
-    def test_invalidation_on_truncation(self):
-        cache = CycleStateCache()
-        usage = np.full(30, 10_000.0)
-        cache.bundle("v", usage, T_V)
-        bundle = cache.bundle("v", usage[:10], T_V)  # history rewound
-        assert bundle.n_days == 10
-        assert cache.stats.invalidations == 1
+    def test_restore_rebuilds_cycle_state(self):
+        """A restored history replaces the live one wholesale, so no
+        cycle state derived from the old history may survive."""
+        rng = np.random.default_rng(1)
+        live = build_serial({"v": rng.uniform(0, 30_000, size=40)})
+        live.series("v")  # derive state for the history being replaced
+        restored = rng.uniform(0, 30_000, size=25)
+        donor = build_serial({"v": restored})
+        live.load_state_dict(donor.state_dict())
+        bundle = live.series("v").bundle
+        full = derive_series(restored, T_V)
+        assert bundle.cycles == full.cycles
         assert np.array_equal(
-            bundle.usage_left,
-            derive_series(usage[:10], T_V).usage_left,
-            equal_nan=True,
+            bundle.usage_left, full.usage_left, equal_nan=True
         )
 
-    def test_invalidation_on_last_day_rewrite(self):
-        cache = CycleStateCache()
-        usage = np.full(30, 10_000.0)
-        cache.bundle("v", usage, T_V)
-        rewritten = usage.copy()
-        rewritten[-1] = 25_000.0
-        bundle = cache.bundle("v", rewritten, T_V)
-        assert cache.stats.invalidations == 1
-        assert np.array_equal(
-            bundle.usage_left,
-            derive_series(rewritten, T_V).usage_left,
-            equal_nan=True,
+
+class TestStaleKernelRegression:
+    def test_refresh_retrain_never_serves_a_stale_kernel(self):
+        """Refresh retrains ``b`` inside requests for ``a`` only; every
+        later forecast for ``b`` must come from ``b``'s current model.
+        With kernels keyed on ``id(model)``, a retrained model reusing a
+        freed model's address was served the old compiled kernel, which
+        this stream hits under some hash seeds."""
+        rng = np.random.default_rng(0)
+        usage = {v: rng.uniform(14_000, 26_000, size=100) for v in "ab"}
+        empty = {v: u[:0] for v, u in usage.items()}
+        serial = build_serial(empty, window=0, algorithm="RF")
+        engine = build_engine(
+            empty,
+            EngineConfig(max_workers=1, executor="serial"),
+            window=0,
+            algorithm="RF",
         )
-
-    def test_invalidation_on_budget_change(self):
-        cache = CycleStateCache()
-        usage = np.full(30, 10_000.0)
-        cache.bundle("v", usage, T_V)
-        bundle = cache.bundle("v", usage, T_V / 2)
-        assert cache.stats.invalidations == 1
-        assert bundle.t_v == T_V / 2
-
-    def test_explicit_invalidate(self):
-        cache = CycleStateCache()
-        usage = np.full(10, 10_000.0)
-        cache.bundle("v", usage, T_V)
-        cache.invalidate("v")
-        cache.bundle("v", usage, T_V)
-        assert cache.stats.misses == 2
-
-    def test_stats_exact_under_concurrent_bundles(self):
-        # Regression for the cache-stats race: per-entry locks serialize
-        # one vehicle's *state*, but threads on different vehicles used
-        # to mutate the shared counters with bare ``+=`` and lose
-        # increments.  On GIL builds a plain ``+=`` only tears when a
-        # switch lands inside the load->add->store window, so the test
-        # seeds the counters with an int subclass whose addition yields
-        # the GIL — every increment becomes a preemption point.  The
-        # dedicated stats lock must keep totals exact anyway; the
-        # pre-fix code loses most increments under this schedule.
-        class YieldingInt(int):
-            def __add__(self, other):
-                time.sleep(0)  # drop the GIL mid-increment
-                return YieldingInt(int(self) + int(other))
-
-            __radd__ = __add__
-
-        cache = CycleStateCache()
-        for name in ("hits", "misses", "invalidations", "appended_days"):
-            setattr(cache.stats, name, YieldingInt(0))
-        n_threads, rounds = 8, 150
-        start = threading.Barrier(n_threads)
-        errors = []
-
-        def worker(index: int) -> None:
-            vehicle_id = f"v{index}"
-            usage = np.full(rounds + 1, 10_000.0)
-            try:
-                start.wait()
-                for n in range(1, rounds + 1):
-                    cache.bundle(vehicle_id, usage[:n], T_V)
-            except Exception as exc:  # pragma: no cover - diagnostics
-                errors.append(exc)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # aggressive preemption besides
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(index,))
-                for index in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(switch)
-        assert not errors
-        stats = {k: int(v) for k, v in cache.stats.as_dict().items()}
-        # Each thread: 1 miss (first call) then rounds-1 hits, one
-        # appended day per call.
-        assert stats["misses"] == n_threads
-        assert stats["hits"] == n_threads * (rounds - 1)
-        assert stats["hits"] + stats["misses"] == n_threads * rounds
-        assert stats["appended_days"] == n_threads * rounds
-        assert stats["invalidations"] == 0
+        compared = 0
+        for day in range(100):
+            today = {v: float(u[day]) for v, u in usage.items()}
+            for vehicle_id in sorted(today):
+                serial.ingest(vehicle_id, today[vehicle_id])
+            engine.ingest_day(today)
+            if serial.category("a") is VehicleCategory.OLD:
+                engine.predict_many(["a"])
+            if day % 20 == 19 and serial.category("b") is VehicleCategory.OLD:
+                assert engine.predict_many(["b"]) == [serial.predict("b")]
+                compared += 1
+        assert compared >= 3
 
 
 class TestFleetExecutor:

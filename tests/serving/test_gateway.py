@@ -583,7 +583,7 @@ class TestHealthAndMetrics:
         assert 0 <= latency["p50"] <= latency["p95"] <= latency["p99"]
         assert metrics["queue_high_water"] >= 1
         for section in ("counters", "gauges", "histograms", "fleet", "drift",
-                        "cache", "tracing", "events"):
+                        "kernel", "tracing", "events"):
             assert section in payload
 
     def test_histogram_percentiles_ordered(self):

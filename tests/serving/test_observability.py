@@ -339,7 +339,6 @@ class TestGoldenSchemas:
         "gateway",
         "fleet",
         "drift",
-        "cache",
         "kernel",
         "tracing",
         "events",

@@ -1,13 +1,12 @@
 """Serving contract of the fused batched predict path.
 
-The batched ``predict_batch`` / engine group-dispatch path swaps the
-per-vehicle Python prediction loop for one compiled-kernel call per
-shared model identity.  That is only legal if it is *invisible*: every
-forecast must equal the serial :class:`MaintenancePredictionService`
-path exactly (``Forecast`` is a frozen dataclass, so ``==`` is exact
-field-for-field equality including the float prediction), and the
-compiled-kernel cache must track lifecycle transitions — promotion,
-rollback, checkpoint restore — so a stale flattened model never serves.
+``predict_batch`` makes one compiled-kernel call per shared model
+identity.  That is only legal if it is *invisible*: a stacked batch
+must equal one-vehicle predictions exactly (``Forecast`` is a frozen
+dataclass, so ``==`` is exact field-for-field equality including the
+float prediction), and the compiled-kernel cache must track model
+lifetimes — retrain, promotion, rollback, checkpoint restore — so a
+stale flattened model never serves.
 """
 
 import numpy as np
@@ -15,7 +14,9 @@ import pytest
 
 from repro.core.registry import make_predictor
 from repro.serving.engine import EngineConfig, FleetEngine
+from repro.serving.kernel_cache import CompiledModelCache
 from repro.serving.persistence import ModelStore
+from repro.serving.reliability import CircuitBreaker, IngestionGuard
 from repro.serving.service import MaintenancePredictionService
 
 T_V = 200_000.0
@@ -90,23 +91,6 @@ class TestBatchedSerialEquivalence:
         assert stats["batches"] > 0  # the kernel actually ran
         assert stats["batched_rows"] >= stats["batches"]
 
-    def test_batched_flag_off_matches_batched_on(self):
-        usage_map = random_fleet(29)
-        on = build_engine(
-            usage_map,
-            EngineConfig(max_workers=1, batched_predict=True),
-            window=0,
-            algorithm="RF",
-        )
-        off = build_engine(
-            usage_map,
-            EngineConfig(max_workers=2, batched_predict=False),
-            window=0,
-            algorithm="RF",
-        )
-        assert on.predict_all() == off.predict_all()
-        assert off.service.kernel_cache.stats()["batches"] == 0
-
     def test_repeat_batches_hit_the_kernel_cache(self):
         usage_map = random_fleet(31)
         engine = build_engine(usage_map, window=0, algorithm="RF")
@@ -133,6 +117,106 @@ class TestBatchedSerialEquivalence:
             "batch_rows",
         ):
             assert key in section
+
+
+class TestResilientBatching:
+    """A breaker no longer bypasses grouping: the ladder is a routing
+    step, and a failed group call re-routes only its own vehicles."""
+
+    def test_resilient_predict_all_one_kernel_call_per_shared_model(self):
+        usage_map = random_fleet(23)
+        reference = serial_forecasts(
+            build_serial(usage_map, window=2, algorithm="RF")
+        )
+        engine = build_engine(
+            usage_map,
+            window=2,
+            algorithm="RF",
+            guard=IngestionGuard(),
+            breaker=CircuitBreaker(),
+        )
+        assert engine.predict_all() == reference  # trains + compiles
+        before = engine.service.kernel_cache.stats()
+        forecasts = engine.predict_all()
+        after = engine.service.kernel_cache.stats()
+        assert forecasts == reference
+        models = {
+            (f.strategy, f.donor_id or f.vehicle_id)
+            if f.strategy != "unified"
+            else ("unified", None)
+            for f in forecasts
+        }
+        assert "baseline" not in {strategy for strategy, _ in models}
+        assert after["batches"] - before["batches"] == len(models)
+        assert after["batched_rows"] - before["batched_rows"] == len(forecasts)
+        assert any(
+            sum(f.strategy == strategy for f in forecasts) > 1
+            for strategy in ("similarity", "unified")
+        )
+
+    def test_group_failure_reroutes_each_vehicle_one_rung_down(self):
+        rng = np.random.default_rng(3)
+        usage_map = {
+            "old0": rng.uniform(14_000, 26_000, size=30),
+            "semi0": rng.uniform(17_000, 25_000, size=7),
+            "semi1": rng.uniform(17_000, 25_000, size=6),
+            "semi2": rng.uniform(17_000, 25_000, size=8),
+        }
+        service = build_serial(
+            usage_map, window=0, algorithm="RF", breaker=CircuitBreaker()
+        )
+        semis = ["semi0", "semi1", "semi2"]
+        clean = service.predict_batch(semis)
+        assert {f.strategy for f in clean} == {"similarity"}
+        assert {f.donor_id for f in clean} == {"old0"}
+
+        class DownKernel:
+            batch_safe = True
+
+            def predict(self, X):
+                raise RuntimeError("kernel down")
+
+        lookup = service.kernel_cache.get
+        service.kernel_cache.get = lambda scope, model, version: (
+            DownKernel()
+            if scope == "sim:old0"
+            else lookup(scope, model, version)
+        )
+        forecasts = service.predict_batch(semis)
+        for forecast in forecasts:
+            assert forecast.strategy == "unified"
+            assert forecast.degraded
+            assert forecast.fallback_reason == (
+                "similarity: RuntimeError: kernel down"
+            )
+        breaker = service.breaker
+        for vehicle_id in semis:
+            assert breaker.failure_count(f"{vehicle_id}:similarity") == 1
+            assert breaker.failure_count(f"{vehicle_id}:unified") == 0
+        assert breaker.failure_count() == len(semis)
+        assert service.health().total_fallbacks() == len(semis)
+
+
+class TestKernelCacheLifetime:
+    def test_refit_model_at_a_reused_address_never_hits(self):
+        """Fit, look up, drop, refit: CPython often hands a new model a
+        freed model's address, which an ``id()``-keyed cache mistook
+        for the old model and answered with its kernel.  One to four
+        refits between lookups cover the allocator's reuse distances."""
+        cache = CompiledModelCache()
+        probe = np.array([[150_000.0]])
+        rng = np.random.default_rng(0)
+        model = None
+        for lookup in range(60):
+            for _ in range(1 + lookup % 4):
+                X = rng.uniform(100_000, 200_000, size=(20, 1))
+                data = _Dataset(X, X[:, 0] / rng.uniform(10_000, 30_000))
+                model = None  # drop the previous model before fitting
+                model = make_predictor("LR").fit(data)
+            kernel = cache.get("v0:per-vehicle", model, None)
+            assert kernel.predict(probe).tobytes() == (
+                model.predict(probe).tobytes()
+            )
 
 
 class _Dataset:
