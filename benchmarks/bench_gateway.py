@@ -4,8 +4,10 @@ Closed-loop load generator against a real listening
 :class:`~repro.serving.gateway.FleetGateway`: ``--clients`` concurrent
 HTTP clients (keep-alive connections) each fire ``GET
 /v1/predict/{vehicle_id}`` back-to-back for ``--seconds``, cycling over
-the fleet.  The run is repeated per micro-batch window, including the
-window = 0 reference (every request dispatched alone).
+the fleet.  The run is made twice: with the default work-conserving
+dispatcher (each batch takes every request queued behind the previous
+one) and with the ``max_batch_size=1`` reference (every request
+dispatched alone).
 
 Three claims are enforced, not just reported:
 
@@ -15,9 +17,9 @@ Three claims are enforced, not just reported:
 * every forecast body is **bit-identical** to a sequential
   ``MaintenancePredictionService.predict`` on the same history
   (exact ``Forecast`` equality after the JSON round-trip);
-* unless ``--no-enforce``, micro-batching (window > 0) reaches
-  **strictly higher throughput** than window = 0, and ``/v1/metrics``
-  is non-empty at the end of every run;
+* unless ``--no-enforce``, micro-batching reaches **strictly higher
+  throughput** than the ``max_batch_size=1`` reference, and
+  ``/v1/metrics`` is non-empty at the end of every run;
 * request tracing at the gateway's default configuration (anonymous
   traffic head-sampled 1-in-``trace_sample_every``; client-identified
   requests always traced) costs **< 5% throughput**: one long-lived
@@ -34,7 +36,7 @@ Run directly (not via pytest)::
 
     PYTHONPATH=src python benchmarks/bench_gateway.py [--smoke]
 
-``--smoke`` is the ~10 s CI sizing.
+``--smoke`` is the ~40 s CI sizing.
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ def build_engine(usage: dict[str, np.ndarray]) -> FleetEngine:
     for vehicle_id, series in usage.items():
         engine.ingest_history(vehicle_id, series)
     return engine
+
+
+def gateway_config(
+    clients: int, max_batch_size: int | None = None
+) -> GatewayConfig:
+    """Queue and deadlines provisioned for ``clients``: no 429/504."""
+    return GatewayConfig(
+        port=0,
+        max_batch_size=max_batch_size or max(64, clients),
+        max_queue=max(256, 4 * clients),
+        default_deadline_s=30.0,
+    )
 
 
 def serial_reference(usage: dict[str, np.ndarray]) -> dict[str, Forecast]:
@@ -159,22 +173,13 @@ async def run_load(
     usage: dict[str, np.ndarray],
     reference: dict[str, Forecast],
     *,
-    batch_window_s: float,
     clients: int,
     seconds: float,
-    tracing: bool = True,
+    max_batch_size: int | None = None,
 ) -> tuple[RunStats, dict, float]:
-    engine = build_engine(usage)
     gateway = FleetGateway(
-        engine,
-        GatewayConfig(
-            port=0,
-            batch_window_s=batch_window_s,
-            max_batch_size=max(64, clients),
-            max_queue=max(256, 4 * clients),
-            default_deadline_s=30.0,
-            tracing=tracing,
-        ),
+        build_engine(usage),
+        gateway_config(clients, max_batch_size),
     )
     host, port = await gateway.serve()
     loop = asyncio.get_running_loop()
@@ -201,7 +206,6 @@ async def run_overhead(
     usage: dict[str, np.ndarray],
     reference: dict[str, Forecast],
     *,
-    batch_window_s: float,
     clients: int,
     window_seconds: float,
     pairs: int,
@@ -219,18 +223,7 @@ async def run_overhead(
     supplying an id; see EXPERIMENTS.md for its measured cost).
     Returns the per-window rates plus any correctness failures.
     """
-    engine = build_engine(usage)
-    gateway = FleetGateway(
-        engine,
-        GatewayConfig(
-            port=0,
-            batch_window_s=batch_window_s,
-            max_batch_size=max(64, clients),
-            max_queue=max(256, 4 * clients),
-            default_deadline_s=30.0,
-            tracing=True,
-        ),
-    )
+    gateway = FleetGateway(build_engine(usage), gateway_config(clients))
     host, port = await gateway.serve()
     loop = asyncio.get_running_loop()
     vehicle_ids = sorted(usage)
@@ -278,19 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vehicles", type=int, default=24)
     parser.add_argument("--clients", type=int, default=64)
     parser.add_argument(
-        "--seconds", type=float, default=6.0, help="closed-loop duration per window"
-    )
-    parser.add_argument(
-        "--windows-ms",
-        type=float,
-        nargs="+",
-        default=[0.0, 2.0, 5.0],
-        help="micro-batch windows to sweep (0 = no batching reference)",
+        "--seconds", type=float, default=6.0, help="closed-loop duration per run"
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI sizing: ~10 s total, two windows",
+        help="CI sizing: shorter runs and fewer overhead windows",
     )
     parser.add_argument(
         "--no-enforce",
@@ -299,13 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    windows_ms = args.windows_ms
-    seconds = args.seconds
-    if args.smoke:
-        windows_ms = [0.0, 5.0]
-        seconds = 4.0
-    if 0.0 not in windows_ms:
-        windows_ms = [0.0, *windows_ms]
+    seconds = 4.0 if args.smoke else args.seconds
 
     usage = synthetic_fleet(args.vehicles)
     reference = serial_reference(usage)
@@ -318,24 +298,25 @@ def main(argv: list[str] | None = None) -> int:
         f"{seconds:.1f} s per run",
         "",
     ]
-    throughput: dict[float, float] = {}
+    throughput: dict[str, float] = {}
     failures: list[str] = []
-    for window_ms in windows_ms:
+    for label, max_batch_size in (("batched", None), ("unbatched", 1)):
         stats, metrics, elapsed = asyncio.run(
             run_load(
                 usage,
                 reference,
-                batch_window_s=window_ms / 1000.0,
                 clients=args.clients,
                 seconds=seconds,
+                max_batch_size=max_batch_size,
             )
         )
         rate = stats.total / elapsed
-        throughput[window_ms] = rate
+        throughput[label] = rate
         gateway_metrics = metrics["gateway"]
         batch_summary = gateway_metrics["batch"]["sizes"]
+        cap = max_batch_size or max(64, args.clients)
         lines += [
-            f"batch window {window_ms:4.1f} ms:",
+            f"{label} (max_batch_size {cap}):",
             f"  requests   : {stats.total} in {elapsed:.2f} s "
             f"({rate:8.0f} req/s)",
             f"  status     : "
@@ -356,29 +337,27 @@ def main(argv: list[str] | None = None) -> int:
         ]
         if stats.errors_5xx():
             failures.append(
-                f"window {window_ms} ms served {stats.errors_5xx()} 5xx responses"
+                f"{label} run served {stats.errors_5xx()} 5xx responses"
             )
         if stats.mismatches:
             failures.append(
-                f"window {window_ms} ms served {stats.mismatches} forecasts "
+                f"{label} run served {stats.mismatches} forecasts "
                 "that diverged from the serial service"
             )
         if not gateway_metrics.get("requests"):
-            failures.append(f"window {window_ms} ms: /v1/metrics came back empty")
+            failures.append(f"{label} run: /v1/metrics came back empty")
         lines.append("")
 
-    reference_rate = throughput[0.0]
-    batched = {w: r for w, r in throughput.items() if w > 0}
-    best_window, best_rate = max(batched.items(), key=lambda kv: kv[1])
+    batched_rate, reference_rate = throughput["batched"], throughput["unbatched"]
     lines += [
-        f"no batching     : {reference_rate:8.0f} req/s",
-        f"best batched    : {best_rate:8.0f} req/s "
-        f"(window {best_window:.1f} ms, {best_rate / reference_rate:.2f}x)",
+        f"unbatched       : {reference_rate:8.0f} req/s",
+        f"batched         : {batched_rate:8.0f} req/s "
+        f"({batched_rate / reference_rate:.2f}x)",
     ]
-    if all(rate <= reference_rate for rate in batched.values()):
+    if batched_rate <= reference_rate:
         failures.append(
-            "micro-batching did not beat the window=0 reference "
-            f"({max(batched.values()):.0f} vs {reference_rate:.0f} req/s)"
+            "micro-batching did not beat the max_batch_size=1 reference "
+            f"({batched_rate:.0f} vs {reference_rate:.0f} req/s)"
         )
 
     # -- tracing overhead: paired interleaved windows, one gateway --------
@@ -388,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         run_overhead(
             usage,
             reference,
-            batch_window_s=best_window / 1000.0,
             clients=args.clients,
             window_seconds=window_seconds,
             pairs=pairs,
@@ -401,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     regression = 1.0 - max(on_rates) / max(off_rates)
     lines += [
         "",
-        f"tracing overhead (window {best_window:.1f} ms, {pairs} paired "
+        f"tracing overhead (batched, {pairs} paired "
         f"{window_seconds:.1f} s windows, one shared gateway, "
         f"1-in-{GatewayConfig.trace_sample_every} anonymous sampling):",
         f"  tracing off : {max(off_rates):8.0f} req/s (best window)",

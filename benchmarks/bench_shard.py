@@ -197,7 +197,6 @@ async def run_load(
             engine,
             GatewayConfig(
                 port=0,
-                batch_window_s=0.002,
                 max_batch_size=max(64, clients),
                 max_queue=max(256, 4 * clients),
                 default_deadline_s=30.0,

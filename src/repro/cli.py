@@ -748,7 +748,6 @@ def _cmd_serve(args) -> int:
     gateway_config = GatewayConfig(
         host=args.host,
         port=args.port,
-        batch_window_s=args.batch_window_ms / 1000.0,
         max_batch_size=args.max_batch,
         max_queue=args.max_queue,
         default_deadline_s=args.deadline_ms / 1000.0,
@@ -1140,16 +1139,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--window", type=int, default=6)
     serve.add_argument("--algorithm", default="RF")
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch coalescing window (0 disables batching)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=_positive_int,
         default=64,
-        help="max predict requests per coalesced batch",
+        help="max queued predict requests served by one engine call "
+        "(1 disables batching)",
     )
     serve.add_argument(
         "--max-queue",

@@ -36,9 +36,14 @@ JSON-over-HTTP front end on :class:`~repro.serving.engine.FleetEngine`:
 
 Three serving-layer mechanisms make it production-shaped:
 
-* **Micro-batching** — concurrent predict requests arriving within
-  ``batch_window_s`` coalesce into a single
-  :meth:`~repro.serving.engine.FleetEngine.predict_many` call.  A
+* **Micro-batching** — the dispatcher is work-conserving: it never
+  waits for company.  It takes the first queued predict request plus
+  whatever else is already queued (up to ``max_batch_size``) and
+  hands them to one
+  :meth:`~repro.serving.engine.FleetEngine.predict_many` call at once;
+  requests that arrive while the engine thread runs that call form
+  the next batch.  So an idle gateway answers a lone read with no
+  added wait, and a loaded one batches as deeply as its backlog.  A
   single dispatcher drains the queue, so forecasts stay bit-identical
   to serial :meth:`~repro.serving.service.MaintenancePredictionService.
   predict` calls (the gateway test suite pins this with exact
@@ -136,11 +141,10 @@ class GatewayConfig:
     host / port:
         Bind address for :meth:`FleetGateway.serve` (port 0 picks a
         free one).
-    batch_window_s:
-        Micro-batch coalescing window.  ``0`` dispatches each predict
-        request alone (the no-batching reference schedule).
     max_batch_size:
-        Hard cap on requests per ``predict_many`` call.
+        Hard cap on requests per ``predict_many`` call.  ``1``
+        dispatches each predict request alone (the no-batching
+        reference schedule).
     max_queue:
         Bound on queued predict requests; beyond it the gateway
         answers ``429``.
@@ -174,7 +178,6 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    batch_window_s: float = 0.005
     max_batch_size: int = 64
     max_queue: int = 256
     retry_after_max_s: int = 3
@@ -186,10 +189,6 @@ class GatewayConfig:
     trace_sample_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.batch_window_s < 0:
-            raise ValueError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}."
-            )
         if self.max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}."
@@ -677,28 +676,17 @@ class FleetGateway:
     # -- micro-batching dispatcher ----------------------------------------
 
     async def _dispatch_loop(self, lane: _Lane) -> None:
+        queue, cap = lane.queue, self.config.max_batch_size
         while True:
-            request = await lane.queue.get()
-            # Track the batch from the instant it leaves the queue so a
-            # concurrent drain waits for it (and a cancellation mid-
-            # collection can still answer every popped request).
-            lane.inflight = batch = [request]
+            # Work-conserving: block for the first request only, then
+            # take what is already queued and dispatch at once.  Requests
+            # that arrive while the engine thread runs this batch form
+            # the next one.  Track the batch from the instant it leaves
+            # the queue so a concurrent drain waits for it.
+            lane.inflight = batch = [await queue.get()]
             try:
-                window = self.config.batch_window_s
-                if window > 0:
-                    horizon = self._loop.time() + window
-                    while len(batch) < self.config.max_batch_size:
-                        remaining = horizon - self._loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            batch.append(
-                                await asyncio.wait_for(
-                                    lane.queue.get(), remaining
-                                )
-                            )
-                        except asyncio.TimeoutError:
-                            break
+                while len(batch) < cap and not queue.empty():
+                    batch.append(queue.get_nowait())
                 await self._execute_batch(lane, batch)
             except asyncio.CancelledError:
                 for queued in batch:
@@ -1033,6 +1021,8 @@ class FleetGateway:
         deadline_s = self._deadline_s(
             None if deadline_raw is None else str(deadline_raw)
         )
+        # Every enqueue runs before the dispatcher resumes, so the whole
+        # request lands in one predict_many call (up to max_batch_size).
         outcomes = await asyncio.gather(
             *(
                 self._enqueue_predict(vehicle_id, deadline_s)

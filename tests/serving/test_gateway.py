@@ -7,6 +7,7 @@ sockets — so the suite stays fast and deterministic.
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -334,15 +335,15 @@ class TestSerialEquivalence:
     byte-identical to sequential service.predict on the same history,
     with and without micro-batching."""
 
-    @pytest.mark.parametrize("batch_window_s", [0.0, 0.005])
-    def test_concurrent_predicts_match_serial(self, batch_window_s):
+    @pytest.mark.parametrize("max_batch_size", [1, 64])
+    def test_concurrent_predicts_match_serial(self, max_batch_size):
         usage = fleet_usage()
         reference = serial_reference(usage)
         vehicle_ids = sorted(usage)
 
         async def scenario():
             gateway = await started_gateway(
-                config=GatewayConfig(batch_window_s=batch_window_s),
+                config=GatewayConfig(max_batch_size=max_batch_size),
                 engine=build_engine(usage),
             )
             # 6 concurrent requests per vehicle, interleaved.
@@ -366,39 +367,112 @@ class TestSerialEquivalence:
             # Byte-identical: dataclass equality covers every field
             # including the exact float payloads.
             assert served == reference[vehicle_id]
-        if batch_window_s > 0:
-            assert metrics["batch"]["sizes"]["max"] > 1  # really coalesced
+        sizes = metrics["batch"]["sizes"]
+        if max_batch_size == 1:
+            assert (sizes["count"], sizes["max"]) == (24, 1)
         else:
-            assert metrics["batch"]["sizes"]["max"] == 1
+            # All 24 GETs are queued before the dispatcher resumes, so
+            # one predict_many call serves them together.
+            assert (sizes["count"], sizes["max"]) == (1, 24)
 
     def test_batch_endpoint_matches_serial(self):
         usage = fleet_usage()
         reference = serial_reference(usage)
 
         async def scenario():
-            gateway = await started_gateway(
-                config=GatewayConfig(batch_window_s=0.005),
-                engine=build_engine(usage),
-            )
+            gateway = await started_gateway(engine=build_engine(usage))
             response = await gateway.handle_request(
                 "POST",
                 "/v1/predict:batch",
                 json.dumps({"vehicle_ids": sorted(usage)}).encode(),
             )
+            sizes = gateway.metrics.snapshot()["batch"]["sizes"]
             await gateway.shutdown()
-            return response
+            return response, sizes
 
-        response = run(scenario())
+        response, sizes = run(scenario())
         for item in response.payload["forecasts"]:
             served = Forecast.from_dict(item)
             assert served == reference[served.vehicle_id]
+        # The whole request lands in one predict_many call.
+        assert (sizes["count"], sizes["max"]) == (1, len(usage))
+
+
+def gated_engine() -> FleetEngine:
+    """An engine whose ``predict_many`` records each call's ids, then
+    blocks on ``engine.gate`` until the test releases it."""
+    engine = build_engine()
+    engine.calls, engine.gate = [], threading.Event()
+    engine.entered = threading.Event()
+    predict_many = engine.predict_many
+
+    def gated(ids, spans=None):
+        engine.calls.append(list(ids))
+        engine.entered.set()
+        engine.gate.wait(10.0)
+        return predict_many(ids, spans=spans)
+
+    engine.predict_many = gated
+    return engine
+
+
+class TestWorkConservingDispatch:
+    """The dispatcher never waits for company: a lone request goes to
+    the engine at once, and what queues behind a running batch forms
+    the next one, cut at ``max_batch_size``."""
+
+    @pytest.mark.parametrize(
+        "max_batch_size, backlog_calls",
+        [
+            (64, [["v01", "v02", "v03"]]),
+            (2, [["v01", "v02"], ["v03"]]),
+        ],
+        ids=["cap64", "cap2"],
+    )
+    def test_lone_request_then_backlog(self, max_batch_size, backlog_calls):
+        engine = gated_engine()
+
+        async def scenario():
+            gateway = await started_gateway(
+                config=GatewayConfig(max_batch_size=max_batch_size),
+                engine=engine,
+            )
+            try:
+                lone = asyncio.create_task(
+                    gateway.handle_request("GET", "/v1/predict/v00")
+                )
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                # Blocking here freezes the event loop, so no timer can
+                # fire: the call must already be on the engine thread.
+                dispatched = engine.entered.wait(2.0)
+                backlog = [
+                    asyncio.create_task(
+                        gateway.handle_request("GET", f"/v1/predict/{vid}")
+                    )
+                    for vid in ("v01", "v02", "v03")
+                ]
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                calls_while_blocked = list(engine.calls)
+            finally:
+                engine.gate.set()
+            responses = await asyncio.gather(lone, *backlog)
+            await gateway.shutdown()
+            return dispatched, calls_while_blocked, responses
+
+        dispatched, calls_while_blocked, responses = run(scenario())
+        assert dispatched
+        assert calls_while_blocked == [["v00"]]
+        assert [r.status for r in responses] == [200] * 4
+        assert engine.calls == [["v00"], *backlog_calls]
 
 
 class TestAdmissionControl:
     def test_full_queue_429_with_retry_after(self):
         async def scenario():
             gateway = await started_gateway(
-                config=GatewayConfig(max_queue=2, batch_window_s=0.0),
+                config=GatewayConfig(max_queue=2),
                 dispatch=False,  # queue fills; nothing drains it yet
             )
             tasks = [
@@ -426,9 +500,7 @@ class TestAdmissionControl:
 
     def test_expired_deadline_504_and_no_batch_slot(self):
         async def scenario():
-            gateway = await started_gateway(
-                config=GatewayConfig(batch_window_s=0.005), dispatch=False
-            )
+            gateway = await started_gateway(dispatch=False)
             doomed = asyncio.create_task(
                 gateway.handle_request("GET", "/v1/predict/v00?deadline_ms=1")
             )
@@ -666,7 +738,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"batch_window_s": -0.001},
             {"max_batch_size": 0},
             {"max_queue": 0},
             {"default_deadline_s": 0.0},

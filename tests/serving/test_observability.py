@@ -136,7 +136,7 @@ class TestRequestIdOnEveryResponse:
     def test_429_rejection_carries_id(self):
         async def scenario():
             gateway = await started_gateway(
-                config=GatewayConfig(max_queue=1, batch_window_s=0.0),
+                config=GatewayConfig(max_queue=1),
                 dispatch=False,  # queue fills; nothing drains it yet
             )
             tasks = [
@@ -162,9 +162,7 @@ class TestRequestIdOnEveryResponse:
 
     def test_504_deadline_carries_id_and_span_event(self):
         async def scenario():
-            gateway = await started_gateway(
-                config=GatewayConfig(batch_window_s=0.005), dispatch=False
-            )
+            gateway = await started_gateway(dispatch=False)
             doomed = asyncio.create_task(
                 gateway.handle_request(
                     "GET", "/v1/predict/v00?deadline_ms=1",

@@ -266,9 +266,7 @@ class TestShardedGateway:
         pool = _build_pool(ids, usage, 3)
 
         async def scenario():
-            gateway = FleetGateway(
-                pool, GatewayConfig(batch_window_s=0.002)
-            )
+            gateway = FleetGateway(pool, GatewayConfig())
             await gateway.start()
             try:
                 response = await gateway.handle_request(
