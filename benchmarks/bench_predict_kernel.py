@@ -181,7 +181,10 @@ def champion_row_identity(usage) -> tuple[int, int]:
         service.ingest_series(vehicle_id, usage[vehicle_id])
     for vehicle_id in sorted(usage):
         service.predict(vehicle_id)  # trains whatever the ladder needs
-        model = service._vehicles[vehicle_id].model or service._unified_model
+        model = service._vehicles[vehicle_id].model
+        if model is None:  # cold start: the full-pool Model_Uni, if fitted
+            pool = service._fleet_index().donor_ids
+            model = service._unified_models.get(pool)
         if model is None:
             continue
         checked += 1

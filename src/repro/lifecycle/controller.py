@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from ..core.categorize import VehicleCategory
 from ..obs import tracing
 from ..serving.engine import _run_training_task_safe, _TrainingTask
 from .policy import PromotionDecision, PromotionPolicy
@@ -120,33 +119,28 @@ class LifecycleController:
         they are the ones serving per-vehicle champions.
         """
         service = self.engine.service
+        old = service.old_vehicles()
         due: dict[str, str] = {}
         if service.monitor is not None:
             for alert in service.monitor.fire_alerts():
                 vid = alert.vehicle_id
-                if not service.has_vehicle(vid):
+                if vid not in old:
                     continue
-                state = service._vehicles[vid]
-                if state.pinned_version is not None:
-                    continue
-                if service.category(vid) is not VehicleCategory.OLD:
+                if service._vehicles[vid].pinned_version is not None:
                     continue
                 due[vid] = (
                     f"drift: mean |error| {alert.mean_abs_error:.2f}d > "
                     f"{alert.threshold:.2f}d over {alert.n_residuals} resolved"
                 )
         if self.staleness_cycles is not None:
-            for vid in service.vehicle_ids:
+            for vid, series in old.items():
                 if vid in due:
                     continue
                 state = service._vehicles[vid]
                 if state.model is None or state.pinned_version is not None:
                     continue
-                if service.category(vid) is not VehicleCategory.OLD:
-                    continue
                 behind = (
-                    len(service.series(vid).completed_cycles)
-                    - state.model_trained_cycles
+                    len(series.completed_cycles) - state.model_trained_cycles
                 )
                 if behind >= self.staleness_cycles:
                     due[vid] = (

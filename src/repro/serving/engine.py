@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.categorize import VehicleCategory
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
 from ..dataprep.transformation import build_relational_dataset
@@ -407,13 +406,11 @@ class FleetEngine:
     def _stale_old_vehicles(self) -> list[tuple[str, int]]:
         service = self.service
         stale = []
-        for vehicle_id in service.vehicle_ids:
-            if service.category(vehicle_id) is not VehicleCategory.OLD:
-                continue
+        for vehicle_id, series in service.old_vehicles().items():
             state = service._vehicles[vehicle_id]
             if state.pinned_version is not None:
                 continue  # pinned vehicles serve their pin, never retrain
-            n_cycles = len(service.series(vehicle_id).completed_cycles)
+            n_cycles = len(series.completed_cycles)
             if state.model is None or (
                 service.retrain_on_cycle
                 and state.model_trained_cycles != n_cycles

@@ -179,17 +179,88 @@ class _VehicleState:
     pinned_version: int | None = None  # operator pin; blocks retrain/promote
     sim_model: object | None = None
     sim_key: tuple | None = None  # (donor id, donor cycle count)
-    pending: list = field(default_factory=list)  # (day, predicted, strategy)
-    resolved_through_cycle: int = 0
-    # The usage buffer is append-only, so both derived views below only
-    # ever move forward: the incremental C/L/D state folds in the days
-    # ingested since the last series() call, and a category computed
-    # at a given length never changes (donor scans re-categorize the
-    # whole fleet otherwise).
-    cycles: IncrementalSeriesState | None = field(default=None, repr=False)
-    category_memo: tuple[int, VehicleCategory] | None = field(
+    # Model_Sim donor search answer: ((own days, donor epoch), donor id).
+    nearest: tuple[tuple[int, int], str | None] | None = field(
         default=None, repr=False
     )
+    pending: list = field(default_factory=list)  # (day, predicted, strategy)
+    resolved_through_cycle: int = 0
+    # The usage buffer is append-only, so the incremental C/L/D state
+    # only moves forward: it folds in the days ingested since the last
+    # series() call.
+    cycles: IncrementalSeriesState | None = field(default=None, repr=False)
+
+
+class _FleetIndex:
+    """Who is OLD, and the Section-4.4 donor pool, kept current by ingest.
+
+    Categories and donors are functions of the usage histories alone,
+    and a history changes only when ingest appends a day.  Each append
+    records its vehicle in :attr:`touched`; the first read after it
+    (:meth:`MaintenancePredictionService._fleet_index`) re-categorizes
+    just those vehicles.  Routing then costs O(batch + vehicles appended
+    since the last read) instead of a fleet walk per vehicle; only a
+    change of membership re-sorts the OLD ids or the donors.  Model
+    state is never cached here: routing reads it live.
+    """
+
+    __slots__ = (
+        "touched", "rank", "category", "old", "donors", "donor_ids", "epoch"
+    )
+
+    def __init__(self, vehicle_ids=()):
+        ids = list(vehicle_ids)
+        #: Vehicles registered or appended to since the last drain.
+        self.touched: dict[str, None] = dict.fromkeys(ids)
+        #: Registration position of every vehicle.
+        self.rank: dict[str, int] = {vid: i for i, vid in enumerate(ids)}
+        self.category: dict[str, VehicleCategory] = {}
+        #: OLD vehicles in sorted id order -> series as of the last drain.
+        self.old: dict[str, VehicleSeries] = {}
+        #: OLD vehicles whose first cycle completed, in registration
+        #: order (Model_Uni concatenates their first cycles in it).
+        self.donors: dict[str, VehicleSeries] = {}
+        self.donor_ids: frozenset[str] = frozenset()
+        #: Bumped whenever a vehicle joins or leaves OLD or an OLD
+        #: vehicle gets a day: a donor search answer from an older
+        #: epoch may be stale.
+        self.epoch = 0
+
+    def register(self, vehicle_id: str) -> None:
+        self.rank[vehicle_id] = len(self.rank)
+        self.touched[vehicle_id] = None
+
+    def drain(self, service: "MaintenancePredictionService") -> None:
+        """Re-categorize the touched vehicles (no monotonicity assumed)."""
+        touched, self.touched = self.touched, {}
+        old, donors = self.old, self.donors
+        old_moved = donors_moved = False
+        for vid in touched:
+            category = self.category[vid] = categorize_usage(
+                np.asarray(service._vehicles[vid].usage), service.t_v
+            )
+            if category is VehicleCategory.OLD:
+                series = service.series(vid)
+                old_moved |= vid not in old
+                old[vid] = series
+                if series.first_cycle().completed:
+                    donors_moved |= vid not in donors
+                    donors[vid] = series
+                else:
+                    donors_moved |= donors.pop(vid, None) is not None
+            elif vid in old:
+                del old[vid]
+                old_moved = True
+                donors_moved |= donors.pop(vid, None) is not None
+            else:
+                continue
+            self.epoch += 1
+        if old_moved:
+            self.old = dict(sorted(old.items()))
+        if donors_moved:
+            rank = self.rank.__getitem__
+            self.donors = {vid: donors[vid] for vid in sorted(donors, key=rank)}
+            self.donor_ids = frozenset(donors)
 
 
 class _Plan:
@@ -328,8 +399,11 @@ class MaintenancePredictionService:
         self.journal = None
         self._journal_depth = 0  # > 0 suppresses journaling (replay)
         self._vehicles: dict[str, _VehicleState] = {}
-        self._unified_model = None
-        self._unified_trained_on: frozenset[str] = frozenset()
+        self._index = _FleetIndex()
+        # Fitted Model_Uni per donor-id set: the full pool NEW vehicles
+        # serve, and the pool less one OLD vehicle that a breaker
+        # step-down routes to unified, each fit once.
+        self._unified_models: dict[frozenset[str], object] = {}
         #: Compiled-kernel cache of the predict path, keyed by serving
         #: scope and weakly on the live model.
         self.kernel_cache = CompiledModelCache()
@@ -375,6 +449,7 @@ class MaintenancePredictionService:
         if vehicle_id in self._vehicles:
             raise ValueError(f"Vehicle {vehicle_id!r} already registered.")
         self._vehicles[vehicle_id] = _VehicleState()
+        self._index.register(vehicle_id)
 
     @property
     def vehicle_ids(self) -> list[str]:
@@ -436,16 +511,21 @@ class MaintenancePredictionService:
                         f"daily_seconds must be in [0, 86400], got {daily_seconds}."
                     )
                 state = self._state(vehicle_id)
-                state.usage.append(float(daily_seconds))
-                self._resolve_forecasts(vehicle_id)
+                self._append(vehicle_id, state, float(daily_seconds))
                 return
             state = self._state(vehicle_id)
             value = self.guard.admit(
                 vehicle_id, daily_seconds, day=day, recent=state.usage
             )
             if value is not None:
-                state.usage.append(value)
-                self._resolve_forecasts(vehicle_id)
+                self._append(vehicle_id, state, value)
+
+    def _append(self, vehicle_id: str, state: _VehicleState, value) -> None:
+        """The one place a usage history grows: the routing index hears
+        of every appended day through here."""
+        state.usage.append(value)
+        self._index.touched[vehicle_id] = None
+        self._resolve_forecasts(vehicle_id)
 
     def ingest_series(
         self, vehicle_id: str, usage, *, start_day: int | None = None
@@ -505,24 +585,22 @@ class MaintenancePredictionService:
             _bundle=bundle,
         )
 
-    def category(self, vehicle_id: str) -> VehicleCategory:
-        state = self._state(vehicle_id)
-        n_days = len(state.usage)
-        memo = state.category_memo
-        if memo is not None and memo[0] == n_days:
-            return memo[1]
-        category = categorize_usage(np.asarray(state.usage), self.t_v)
-        state.category_memo = (n_days, category)
-        return category
+    def _fleet_index(self) -> _FleetIndex:
+        """The routing index, after folding in the days appended since
+        the last read."""
+        index = self._index
+        if index.touched:
+            index.drain(self)
+        return index
 
-    def _old_vehicles(self, exclude: str | None = None) -> list[VehicleSeries]:
-        out = []
-        for vehicle_id in self._vehicles:
-            if vehicle_id == exclude:
-                continue
-            if self.category(vehicle_id) is VehicleCategory.OLD:
-                out.append(self.series(vehicle_id))
-        return out
+    def category(self, vehicle_id: str) -> VehicleCategory:
+        self._state(vehicle_id)
+        return self._fleet_index().category[vehicle_id]
+
+    def old_vehicles(self) -> dict[str, VehicleSeries]:
+        """OLD vehicles in sorted id order -> series as of their latest
+        day.  The one answer to "who is OLD"; treat it as read-only."""
+        return self._fleet_index().old
 
     # -- model management --------------------------------------------------------
 
@@ -644,53 +722,75 @@ class MaintenancePredictionService:
         return predictor
 
     def _ensure_unified_model(self, exclude: str | None = None):
-        """``Model_Uni`` over the current old vehicles' first cycles."""
-        donors = self._old_vehicles(exclude=exclude)
-        donors = [s for s in donors if s.first_cycle().completed]
-        if not donors:
-            return None
-        donor_ids = frozenset(s.vehicle_id for s in donors)
-        if self._unified_model is not None and donor_ids == self._unified_trained_on:
-            return self._unified_model
+        """``(Model_Uni, donor-id set)`` over the old vehicles' first
+        cycles, leaving out ``exclude``; ``(None, empty set)`` without
+        donors.  Each distinct donor set fits once."""
+        index = self._fleet_index()
+        donor_ids = index.donor_ids
+        if exclude in donor_ids:
+            donor_ids = donor_ids - {exclude}
+        if not donor_ids:
+            return None, donor_ids
+        predictor = self._unified_models.get(donor_ids)
+        if predictor is not None:
+            return predictor, donor_ids
+        donors = [s for vid, s in index.donors.items() if vid in donor_ids]
         with self._stage("train", strategy="unified", donors=len(donors)):
             merged = RelationalDataset.concatenate(
                 [first_cycle_dataset(s, self.window) for s in donors]
             )
             predictor = self._make_predictor(self.algorithm)
             predictor.fit(merged)
-        self._unified_model = predictor
-        self._unified_trained_on = donor_ids
+        # Keep only the pools routing can still ask for: the full pool
+        # and the full pool less one OLD vehicle.
+        full = index.donor_ids
+        self._unified_models = {
+            ids: model
+            for ids, model in self._unified_models.items()
+            if ids <= full and len(full) - len(ids) <= 1
+        }
+        self._unified_models[donor_ids] = predictor
         self._persist(
             "fleet.unified",
             predictor,
             strategy="unified",
             donors=sorted(donor_ids),
         )
-        return predictor
+        return predictor, donor_ids
 
     def _similarity_model(self, vehicle_id: str):
         """``Model_Sim`` for one semi-new vehicle; None without donors.
 
-        The fitted donor model is cached on the vehicle's state keyed on
-        (donor id, donor cycle count) — like the per-vehicle and unified
-        paths — so repeated predictions between donor changes do not
-        re-fit (the donor's *first* cycle, the training data, is frozen
-        once completed).
+        The donor search answer is remembered on the vehicle's state,
+        keyed on (its own length, donor epoch): it can only change when
+        the target or a donor gets a day.  The fitted donor model is
+        cached keyed on (donor id, donor cycle count) — like the
+        per-vehicle and unified paths — so repeated predictions between
+        donor changes do not re-fit (the donor's *first* cycle, the
+        training data, is frozen once completed).
         """
-        donors = [
-            s
-            for s in self._old_vehicles(exclude=vehicle_id)
-            if s.first_cycle().completed
-        ]
-        if not donors:
-            return None, None
-        target = np.asarray(self._state(vehicle_id).usage)
-        candidates = {s.vehicle_id: s.usage for s in donors}
-        donor_id, _ = most_similar(
-            target, candidates, measure=self.similarity_measure
-        )
-        donor = next(s for s in donors if s.vehicle_id == donor_id)
+        index = self._fleet_index()
         state = self._state(vehicle_id)
+        key = (len(state.usage), index.epoch)
+        if state.nearest is not None and state.nearest[0] == key:
+            donor_id = state.nearest[1]
+        else:
+            candidates = {
+                vid: s.usage
+                for vid, s in index.donors.items()
+                if vid != vehicle_id
+            }
+            donor_id = None
+            if candidates:
+                donor_id, _ = most_similar(
+                    np.asarray(state.usage),
+                    candidates,
+                    measure=self.similarity_measure,
+                )
+            state.nearest = (key, donor_id)
+        if donor_id is None:
+            return None, None
+        donor = index.donors[donor_id]
         cache_key = (donor_id, len(donor.completed_cycles))
         if state.sim_model is not None and state.sim_key == cache_key:
             return state.sim_model, donor_id
@@ -906,8 +1006,8 @@ class MaintenancePredictionService:
             model, donor_id = self._similarity_model(vehicle_id)
             sim_key = self._state(vehicle_id).sim_key
             return model, donor_id, (f"sim:{donor_id}", sim_key)
-        model = self._ensure_unified_model(exclude=vehicle_id)
-        return model, None, ("fleet:unified", self._unified_trained_on)
+        model, donor_ids = self._ensure_unified_model(exclude=vehicle_id)
+        return model, None, ("fleet:unified", donor_ids)
 
     def _count_fallback(self, vehicle_id: str, strategy: str) -> None:
         self._fallback_counts.setdefault(vehicle_id, Counter())[strategy] += 1
@@ -968,7 +1068,7 @@ class MaintenancePredictionService:
         series = self.series(vehicle_id)
         if series.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
-        category = self.category(vehicle_id)
+        category = self._fleet_index().category[vehicle_id]
         with self._stage("feature-build", vehicle_id=vehicle_id):
             row, usage_left, today = self._feature_row(series)
         plan = _Plan(vehicle_id, category, row, usage_left, today, span)
@@ -1259,8 +1359,8 @@ class MaintenancePredictionService:
             self.breaker.load_state_dict(state["breaker"])
         if self.monitor is not None:
             self.monitor.load_state_dict(state["monitor"])
-        self._unified_model = None
-        self._unified_trained_on = frozenset()
+        self._index = _FleetIndex(self._vehicles)
+        self._unified_models = {}
         self._sim_donor_models.clear()
         # Restored states may pin different model versions than the
         # ones that were serving: every compiled kernel is stale.

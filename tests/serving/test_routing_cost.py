@@ -1,0 +1,159 @@
+"""Routing reads the ingest-fed index instead of walking the fleet.
+
+A read with no ingest since the previous one re-categorizes nobody and
+searches no donors; one appended day costs one re-categorization; the
+engine's refresh scan visits only OLD vehicles; and Model_Uni fits once
+per distinct donor set, also when the breaker ladder asks for the pool
+without one of its own donors.
+"""
+
+import pytest
+
+from repro.core.categorize import VehicleCategory
+from repro.core.registry import make_predictor
+from repro.serving import service as service_module
+from repro.serving.engine import FleetEngine
+from repro.serving.reliability import CircuitBreaker
+from repro.serving.service import MaintenancePredictionService
+
+T_V = 200_000.0  # 10 steady days per cycle at 20 000 s/day
+WINDOW = 2
+
+
+def mixed_fleet(service) -> dict[str, VehicleCategory]:
+    """Three OLD donors, two SEMI-NEW and two NEW vehicles."""
+    plan = {
+        "old0": [18_000.0] * 25,
+        "old1": [20_000.0] * 25,
+        "old2": [24_000.0] * 25,
+        "semi0": [19_000.0] * 6,
+        "semi1": [23_000.0] * 6,
+        "new0": [5_000.0] * 6,
+        "new1": [8_000.0] * 6,
+    }
+    for vid, usage in plan.items():
+        service.register_vehicle(vid)
+        service.ingest_series(vid, usage)
+    return {vid: service.category(vid) for vid in plan}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the service module's categorize and donor-search calls."""
+    calls = {"categorize_usage": 0, "most_similar": 0}
+    for name in calls:
+        original = getattr(service_module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, name, wrapper)
+    return calls
+
+
+class TestNoFleetScanOnRead:
+    def test_warm_read_scans_nothing(self, counted):
+        service = MaintenancePredictionService(
+            t_v=T_V, window=WINDOW, algorithm="LR"
+        )
+        categories = mixed_fleet(service)
+        cold_start = [
+            vid
+            for vid, category in categories.items()
+            if category is not VehicleCategory.OLD
+        ]
+        service.predict_batch(cold_start)  # warm-up: fits and first search
+        counted.update(categorize_usage=0, most_similar=0)
+        for _ in range(3):
+            service.predict_batch(cold_start)
+        assert counted == {"categorize_usage": 0, "most_similar": 0}
+
+    def test_one_append_recategorizes_one_vehicle(self, counted):
+        service = MaintenancePredictionService(
+            t_v=T_V, window=WINDOW, algorithm="LR"
+        )
+        mixed_fleet(service)
+        ids = ["semi0", "semi1", "new0", "new1"]
+        service.predict_batch(ids)
+        counted.update(categorize_usage=0, most_similar=0)
+        service.ingest("new0", 5_000.0)
+        service.predict_batch(ids)
+        assert counted["categorize_usage"] == 1
+        assert counted["most_similar"] == 0
+        # A SEMI-NEW target's own day re-runs only its own donor search.
+        service.ingest("semi1", 23_000.0)
+        service.predict_batch(ids)
+        assert counted == {"categorize_usage": 2, "most_similar": 1}
+
+    def test_engine_refresh_visits_only_old_vehicles(self):
+        class Recording(dict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.seen = []
+
+            def __getitem__(self, key):
+                self.seen.append(key)
+                return super().__getitem__(key)
+
+        engine = FleetEngine(
+            MaintenancePredictionService(
+                t_v=T_V, window=WINDOW, algorithm="LR"
+            )
+        )
+        service = engine.service
+        categories = mixed_fleet(service)
+        engine.predict_many(list(categories))  # warm-up: trains the OLD
+        service._vehicles = Recording(service._vehicles)
+        assert engine.predict_many([]) == []  # the per-batch refresh only
+        old = sorted(
+            vid
+            for vid, category in categories.items()
+            if category is VehicleCategory.OLD
+        )
+        assert service._vehicles.seen == old
+
+
+class TestUnifiedModelFitsOncePerDonorSet:
+    def test_breaker_ladder_does_not_thrash(self):
+        fits = []
+
+        def factory(algorithm):
+            predictor = make_predictor(algorithm)
+            fit = predictor.fit
+
+            def counted_fit(dataset, **kwargs):
+                # Model_Uni is the one rung that fits without a usage
+                # history; its record count names the donor set.
+                if "usage" not in kwargs:
+                    fits.append(dataset.n_records)
+                return fit(dataset, **kwargs)
+
+            predictor.fit = counted_fit
+            return predictor
+
+        breaker = CircuitBreaker(failure_threshold=1, cooldown=4)
+        service = MaintenancePredictionService(
+            t_v=T_V,
+            window=WINDOW,
+            algorithm="LR",
+            breaker=breaker,
+            predictor_factory=factory,
+        )
+        for vid, rate in (("A", 18_000.0), ("B", 20_000.0), ("C", 24_000.0)):
+            service.register_vehicle(vid)
+            service.ingest_series(vid, [rate] * 25)
+        service.register_vehicle("N")
+        service.ingest_series("N", [5_000.0] * 6)
+        breaker.record_failure("A:per-vehicle")
+        breaker.record_failure("A:similarity")
+        strategies = []
+        for _ in range(5):
+            a, n = service.predict_batch(["A", "N"])
+            strategies.append((a.strategy, n.strategy))
+        # Four cooldown batches serve A from the pool without A, N from
+        # the full pool; the fifth half-opens A's own model.
+        assert strategies[:4] == [("unified", "unified")] * 4
+        assert strategies[4][0] == "per-vehicle"
+        assert len(set(fits)) == 2
+        assert len(fits) == 2
