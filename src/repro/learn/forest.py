@@ -14,7 +14,7 @@ import numpy as np
 from .base import BaseEstimator, RegressorMixin
 from .compiled import ensemble_kernel
 from .metrics import r2_score
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, fit_trees
 from .validation import (
     check_array,
     check_is_fitted,
@@ -50,7 +50,9 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
     random_state:
         Seed for bootstrap draws and per-tree feature subsampling.
 
-    Prediction runs through the fused level-wise kernel
+    Fitting grows every bag's tree at once, one depth per step
+    (:func:`repro.learn.tree.fit_trees`), bit-identical to fitting the
+    trees one by one.  Prediction runs through the fused level-wise kernel
     (:mod:`repro.learn.compiled`), bit-identical to the per-tree loop
     it replaced; ``validate=False`` additionally skips input
     re-validation for trusted callers (the serving engine).
@@ -101,26 +103,29 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         rng = check_random_state(self.random_state)
         n_samples = X.shape[0]
 
-        self.estimators_ = []
-        oob_sum = np.zeros(n_samples)
-        oob_count = np.zeros(n_samples, dtype=np.intp)
+        # Per tree: its seed, then its bag, the order the draws have
+        # always been made in.
+        trees, bags = [], []
         for _ in range(self.n_estimators):
             seed = int(rng.integers(np.iinfo(np.int32).max))
-            tree = self._make_tree(seed)
-            if self.bootstrap:
-                bag = rng.integers(0, n_samples, size=n_samples)
-                tree.fit(X, y, sample_indices=bag)
-                if self.oob_score:
-                    mask = np.ones(n_samples, dtype=bool)
-                    mask[np.unique(bag)] = False
-                    if mask.any():
-                        oob_sum[mask] += tree.predict(X[mask])
-                        oob_count[mask] += 1
-            else:
-                tree.fit(X, y)
-            self.estimators_.append(tree)
+            trees.append(self._make_tree(seed))
+            bags.append(
+                rng.integers(0, n_samples, size=n_samples)
+                if self.bootstrap
+                else None
+            )
+        fit_trees(trees, X, y, bags)
+        self.estimators_ = trees
 
         if self.oob_score:
+            oob_sum = np.zeros(n_samples)
+            oob_count = np.zeros(n_samples, dtype=np.intp)
+            for tree, bag in zip(trees, bags):
+                mask = np.ones(n_samples, dtype=bool)
+                mask[np.unique(bag)] = False
+                if mask.any():
+                    oob_sum[mask] += tree.predict(X[mask])
+                    oob_count[mask] += 1
             covered = oob_count > 0
             prediction = np.full(n_samples, np.nan)
             prediction[covered] = oob_sum[covered] / oob_count[covered]

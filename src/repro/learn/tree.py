@@ -6,7 +6,11 @@ most popular non-linear mapping functions between non-predictive and
 predictive variables".  This module implements the classic CART algorithm
 with variance-reduction (squared-error) splitting:
 
-* exact best-split search, vectorized per feature with prefix sums;
+* exact best-split search with sorts and prefix sums, grown level-wise:
+  each depth evaluates every frontier node x feature of every tree of a
+  forest in a few padded numpy passes (:func:`fit_trees`), with trees
+  bit-identical to the depth-first one-node-at-a-time loop kept as the
+  oracle (:func:`reference_fit`);
 * ``max_depth``, ``min_samples_split``, ``min_samples_leaf``,
   ``min_impurity_decrease`` pre-pruning controls matching the grid the
   paper sweeps (tree depth 3-50);
@@ -30,9 +34,20 @@ from .validation import (
     check_X_y,
 )
 
-__all__ = ["DecisionTreeRegressor", "Tree", "export_text"]
+__all__ = [
+    "DecisionTreeRegressor",
+    "Tree",
+    "export_text",
+    "fit_trees",
+    "reference_fit",
+]
 
 _LEAF = -1
+
+# Padded values one split-search pass may hold (nodes x features x
+# padded width), so the grower's working set does not scale with the
+# number of trees or frontier nodes.
+_PASS_ELEMENTS = 1 << 15
 
 
 class Tree:
@@ -254,112 +269,25 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
 
         ``sample_indices`` optionally restricts training to a subset of
         rows without copying — the forest uses this for bootstrap bags.
+        The fitted tree is bit-identical to :func:`reference_fit`'s.
         """
         X, y = check_X_y(X, y)
-        self._validate_hyperparams()
-        rng = check_random_state(self.random_state)
-        n_features = X.shape[1]
-        k_features = self._resolve_max_features(n_features)
-        max_depth = np.inf if self.max_depth is None else self.max_depth
-
-        if sample_indices is None:
-            sample_indices = np.arange(X.shape[0], dtype=np.intp)
-        else:
-            sample_indices = np.asarray(sample_indices, dtype=np.intp)
-            if sample_indices.size == 0:
-                raise ValueError("sample_indices must not be empty.")
-
-        tree = Tree()
-        feature_importances = np.zeros(n_features)
-        total_weight = sample_indices.size
-
-        # Depth-first growth with an explicit stack of (indices, depth,
-        # parent, is_left); children are attached after creation.
-        root_y = y[sample_indices]
-        root_id = tree.add_node(
-            float(root_y.mean()),
-            sample_indices.size,
-            _node_impurity(root_y.sum(), (root_y**2).sum(), root_y.size),
-        )
-        stack: list[tuple[np.ndarray, int, int]] = [(sample_indices, 0, root_id)]
-        while stack:
-            indices, depth, node_id = stack.pop()
-            n_node = indices.size
-            node_impurity = tree.impurity[node_id]
-            if (
-                depth >= max_depth
-                or n_node < self.min_samples_split
-                or n_node < 2 * self.min_samples_leaf
-                or node_impurity <= 0.0
-            ):
-                continue
-
-            y_node = y[indices]
-            if k_features < n_features:
-                candidates = rng.choice(n_features, size=k_features, replace=False)
-            else:
-                candidates = np.arange(n_features)
-
-            node_sse = node_impurity * n_node
-            best_gain = -np.inf
-            best_feature = -1
-            best_threshold = np.nan
-            for feat in candidates:
-                found = _best_split_for_feature(
-                    X[indices, feat], y_node, self.min_samples_leaf
-                )
-                if found is None:
-                    continue
-                child_sse, threshold = found
-                gain = node_sse - child_sse
-                if gain > best_gain:
-                    best_gain = gain
-                    best_feature = int(feat)
-                    best_threshold = threshold
-
-            # The impurity decrease is weighted by the node's share of
-            # training samples, as in CART cost-complexity accounting.
-            if best_feature < 0 or best_gain / total_weight < self.min_impurity_decrease:
-                continue
-            if best_gain <= 1e-12 * max(node_sse, 1.0):
-                continue
-
-            go_left = X[indices, best_feature] <= best_threshold
-            left_idx = indices[go_left]
-            right_idx = indices[~go_left]
-            if (
-                left_idx.size < self.min_samples_leaf
-                or right_idx.size < self.min_samples_leaf
-            ):
-                continue
-
-            tree.feature[node_id] = best_feature
-            tree.threshold[node_id] = best_threshold
-            feature_importances[best_feature] += best_gain
-
-            for child_indices, attach in ((left_idx, "left"), (right_idx, "right")):
-                y_child = y[child_indices]
-                child_id = tree.add_node(
-                    float(y_child.mean()),
-                    child_indices.size,
-                    _node_impurity(
-                        y_child.sum(), (y_child**2).sum(), y_child.size
-                    ),
-                )
-                if attach == "left":
-                    tree.children_left[node_id] = child_id
-                else:
-                    tree.children_right[node_id] = child_id
-                stack.append((child_indices, depth + 1, child_id))
-
-        tree.finalize()
-        self.tree_ = tree
-        total = feature_importances.sum()
-        self.feature_importances_ = (
-            feature_importances / total if total > 0 else feature_importances
-        )
-        self.n_features_in_ = n_features
+        if self._resolve_max_features(X.shape[1]) == X.shape[1]:
+            # The level-wise grower draws nothing, but random_state is
+            # still validated (and a RandomState advanced) as
+            # reference_fit does.
+            check_random_state(self.random_state)
+        fit_trees([self], X, y, [sample_indices])
         return self
+
+    def _install(self, tree: Tree, importances: np.ndarray) -> None:
+        """Set the fitted attributes from a grown tree and raw importances."""
+        self.tree_ = tree
+        total = importances.sum()
+        self.feature_importances_ = (
+            importances / total if total > 0 else importances
+        )
+        self.n_features_in_ = importances.size
 
     def predict(self, X, *, validate: bool = True) -> np.ndarray:
         if validate:
@@ -387,6 +315,390 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
     def get_n_leaves(self) -> int:
         check_is_fitted(self, "tree_")
         return self.tree_.n_leaves
+
+
+def _bag_indices(sample_indices, n_samples: int) -> np.ndarray:
+    if sample_indices is None:
+        return np.arange(n_samples, dtype=np.intp)
+    sample_indices = np.asarray(sample_indices, dtype=np.intp)
+    if sample_indices.size == 0:
+        raise ValueError("sample_indices must not be empty.")
+    return sample_indices
+
+
+def fit_trees(trees, X: np.ndarray, y: np.ndarray, bags) -> None:
+    """Fit ``trees[i]`` on the rows ``bags[i]`` of validated ``(X, y)``.
+
+    The trees must share every hyper-parameter but ``random_state``, as
+    a forest's do; a ``None`` bag means all rows.  When each split
+    examines every feature, all trees grow together level-wise
+    (:func:`_grow_level_wise`).  Subsampled ``max_features`` draws
+    features per node in depth-first order, so those trees run
+    :func:`reference_fit` one by one.  Either way every tree is
+    bit-identical to :func:`reference_fit`'s.
+    """
+    params = trees[0]
+    params._validate_hyperparams()
+    n_samples, n_features = X.shape
+    if params._resolve_max_features(n_features) < n_features:
+        for tree, bag in zip(trees, bags):
+            reference_fit(tree, X, y, sample_indices=bag)
+        return
+    grown = _grow_level_wise(
+        X, y, [_bag_indices(bag, n_samples) for bag in bags], params
+    )
+    for tree, (structure, importances) in zip(trees, grown):
+        tree._install(structure, importances)
+
+
+def _node_stats(y_node: np.ndarray, y_sq_node: np.ndarray):
+    """``(value, impurity)`` of a node, with the reference's arithmetic.
+
+    Both sums are ``ndarray.sum``'s own reduction over the node's
+    unpadded targets: numpy's pairwise summation blocks by length, so a
+    padded row sum is not bit-equal.  ``total / n`` is exactly what
+    ``ndarray.mean`` computes.
+    """
+    n = y_node.size
+    total = np.add.reduce(y_node)
+    return float(total / n), _node_impurity(total, np.add.reduce(y_sq_node), n)
+
+
+def _best_splits(X, y, rows, n, node_sse, min_samples_leaf):
+    """Each node's best split over every feature, as :func:`reference_fit`
+    picks it from :func:`_best_split_for_feature`.
+
+    ``rows`` is ``(m, width)``: node ``i``'s sample indices in its first
+    ``n[i]`` columns, in node order; later columns are padding.  Returns
+    per node ``(feature, gain, threshold)``, feature ``-1`` if no
+    feature splits.  Bit-equal to the per-node calls: a stable sort puts
+    the ``+inf`` padding after every real value without reordering them,
+    ``cumsum`` accumulates each row sequentially like the 1-D call, and
+    masked candidates never win.
+    """
+    m, width = rows.shape
+    real = np.arange(width) < n[:, None]
+    x = np.where(real[:, None, :], X[rows].transpose(0, 2, 1), np.inf)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    ys = y[rows][np.arange(m)[:, None, None], order]
+    cum_sum = np.cumsum(ys, axis=-1)
+    cum_sq = np.cumsum(ys * ys, axis=-1)
+    last = (n - 1)[:, None, None]
+    left_n = np.arange(1, width)
+    right_n = n[:, None, None] - left_n
+    left_sum = cum_sum[..., :-1]
+    left_sq = cum_sq[..., :-1]
+    right_sum = np.take_along_axis(cum_sum, last, axis=-1) - left_sum
+    right_sq = np.take_along_axis(cum_sq, last, axis=-1) - left_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (left_sq - left_sum**2 / left_n) + (
+            right_sq - right_sum**2 / right_n
+        )
+    valid = (
+        (xs[..., 1:] > xs[..., :-1])
+        & (left_n >= min_samples_leaf)
+        & (right_n >= min_samples_leaf)
+    )
+    # argmin lands on a masked slot only if every valid SSE overflowed
+    # to +inf; the gain is then -inf or NaN and loses, as it does in
+    # the reference.
+    sse = np.where(valid, sse, np.inf)
+    best = np.argmin(sse, axis=-1)[..., None]
+    found = valid.any(axis=-1)
+    gain = node_sse[:, None] - np.take_along_axis(sse, best, axis=-1)[..., 0]
+    low = np.take_along_axis(xs, best, axis=-1)[..., 0]
+    high = np.take_along_axis(xs, best + 1, axis=-1)[..., 0]
+    threshold = 0.5 * (low + high)
+    # Guard against midpoint rounding onto the upper value.
+    threshold = np.where(threshold >= high, low, threshold)
+
+    # The first strictly larger gain wins, in feature order.
+    best_feature = np.full(m, _LEAF)
+    best_gain = np.full(m, -np.inf)
+    best_threshold = np.full(m, np.nan)
+    for feat in range(gain.shape[1]):
+        better = found[:, feat] & (gain[:, feat] > best_gain)
+        best_feature[better] = feat
+        best_gain[better] = gain[better, feat]
+        best_threshold[better] = threshold[better, feat]
+    return best_feature, best_gain, best_threshold
+
+
+def _grow_level_wise(X, y, bags, params) -> list[tuple[Tree, np.ndarray]]:
+    """Grow one tree per bag, all of them at once, one depth per step.
+
+    Each step evaluates every frontier node x feature of every tree in
+    a few padded passes (:func:`_best_splits`).  Nodes are bucketed by
+    their padded width (the next power of two) and each pass holds at
+    most ``_PASS_ELEMENTS`` padded values, so the working set does not
+    grow with the forest.  Children keep their parent's sample order,
+    so each node sees the rows in the order the reference gives it.
+    Node ids and importances are then assigned by replaying the
+    reference's LIFO stack, which makes the node tables, importances
+    and pickles equal to :func:`reference_fit`'s.
+
+    Returns ``(tree, raw feature importances)`` per bag.
+    """
+    n_features = X.shape[1]
+    max_depth = np.inf if params.max_depth is None else params.max_depth
+    min_samples_split = params.min_samples_split
+    min_samples_leaf = params.min_samples_leaf
+    y_sq = y**2
+
+    # Node table in creation order; split nodes fill in feature,
+    # threshold, gain and left (their right child is left + 1).
+    value: list[float] = []
+    impurity: list[float] = []
+    n_node_samples: list[int] = []
+    feature: list[int] = []
+    threshold: list[float] = []
+    gain: list[float] = []
+    left: list[int] = []
+
+    def add_nodes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        first = len(value)
+        y_rows = y[rows]
+        y_sq_rows = y_sq[rows]
+        stop = 0
+        for size in sizes.tolist():
+            start, stop = stop, stop + size
+            node_value, node_impurity = _node_stats(
+                y_rows[start:stop], y_sq_rows[start:stop]
+            )
+            value.append(node_value)
+            impurity.append(node_impurity)
+        count = len(value) - first
+        n_node_samples.extend(sizes.tolist())
+        feature.extend([_LEAF] * count)
+        threshold.extend([np.nan] * count)
+        gain.extend([0.0] * count)
+        left.extend([_LEAF] * count)
+        return np.arange(first, first + count)
+
+    # The frontier: node ids, owning bag, sizes and the concatenated
+    # sample indices of its nodes, in node order.
+    sizes = np.array([bag.size for bag in bags])
+    total_weight = sizes
+    owner = np.arange(len(bags))
+    rows = np.concatenate(bags)
+    nodes = add_nodes(rows, sizes)
+    depth = 0
+    while nodes.size and depth < max_depth:
+        # The frontier is always the last nodes added.
+        node_impurity = np.asarray(impurity[nodes[0] :])
+        node_sse = node_impurity * sizes
+        starts = np.cumsum(sizes) - sizes
+        best_feature = np.full(nodes.size, _LEAF)
+        best_gain = np.full(nodes.size, -np.inf)
+        best_threshold = np.full(nodes.size, np.nan)
+
+        splittable = np.flatnonzero(
+            (sizes >= min_samples_split)
+            & (sizes >= 2 * min_samples_leaf)
+            & ~(node_impurity <= 0.0)
+        )
+        log_width = np.ceil(np.log2(sizes[splittable])).astype(np.intp)
+        for exponent in np.unique(log_width).tolist():
+            width = 1 << exponent
+            bucket = splittable[log_width == exponent]
+            per_pass = max(1, _PASS_ELEMENTS // (n_features * width))
+            for begin in range(0, bucket.size, per_pass):
+                batch = bucket[begin : begin + per_pass]
+                columns = np.minimum(
+                    starts[batch, None] + np.arange(width), rows.size - 1
+                )
+                best = _best_splits(
+                    X, y, rows[columns], sizes[batch], node_sse[batch],
+                    min_samples_leaf,
+                )
+                best_feature[batch], best_gain[batch], best_threshold[batch] = best
+
+        # The impurity decrease is weighted by the node's share of
+        # training samples, as in CART cost-complexity accounting.
+        split = (
+            (best_feature >= 0)
+            & ~(best_gain / total_weight[owner] < params.min_impurity_decrease)
+            & ~(best_gain <= 1e-12 * np.maximum(node_sse, 1.0))
+        )
+        segment = np.repeat(np.arange(nodes.size), sizes)
+        moving = split[segment]
+        segment, rows = segment[moving], rows[moving]
+        go_right = ~(
+            X[rows, best_feature[segment]] <= best_threshold[segment]
+        )
+        n_left = np.bincount(segment[~go_right], minlength=nodes.size)
+        n_right = sizes - n_left
+        # A midpoint that overflowed to -inf sends every row right; the
+        # node then stays a leaf, as in the reference.
+        kept = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        if not kept[split].all():
+            split &= kept
+            keep = split[segment]
+            segment, rows, go_right = segment[keep], rows[keep], go_right[keep]
+        # A stable sort on (node, side) filters each child in order.
+        rows = rows[np.argsort(2 * segment + go_right, kind="stable")]
+
+        parents = np.flatnonzero(split)
+        sizes = np.column_stack((n_left[parents], n_right[parents])).ravel()
+        owner = np.repeat(owner[parents], 2)
+        children = add_nodes(rows, sizes)
+        for node, feat, thresh, node_gain, child in zip(
+            nodes[parents].tolist(),
+            best_feature[parents].tolist(),
+            best_threshold[parents].tolist(),
+            best_gain[parents].tolist(),
+            children[::2].tolist(),
+        ):
+            feature[node] = feat
+            threshold[node] = thresh
+            gain[node] = node_gain
+            left[node] = child
+        nodes = children
+        depth += 1
+
+    tables = {
+        "feature": np.asarray(feature, dtype=np.intp),
+        "threshold": np.asarray(threshold, dtype=np.float64),
+        "value": np.asarray(value, dtype=np.float64),
+        "n_node_samples": np.asarray(n_node_samples, dtype=np.intp),
+        "impurity": np.asarray(impurity, dtype=np.float64),
+    }
+    left_table = np.asarray(left, dtype=np.intp)
+    final_id = np.empty(len(value), dtype=np.intp)
+    grown = []
+    for root in range(len(bags)):
+        # Replay the reference's depth-first stack: a split node's
+        # children get the next two ids and the right one pops first.
+        order = [root]
+        importances = np.zeros(n_features)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            feat = feature[node]
+            if feat == _LEAF:
+                continue
+            importances[feat] += gain[node]
+            child = left[node]
+            order += (child, child + 1)
+            stack += (child, child + 1)
+        order = np.asarray(order, dtype=np.intp)
+        final_id[order] = np.arange(order.size)
+        tree = Tree()
+        child = left_table[order]
+        is_split = child != _LEAF
+        tree.children_left = np.where(is_split, final_id[child], _LEAF)
+        tree.children_right = np.where(is_split, final_id[child + 1], _LEAF)
+        for name, table in tables.items():
+            setattr(tree, name, table[order])
+        grown.append((tree, importances))
+    return grown
+
+
+def reference_fit(
+    tree: DecisionTreeRegressor, X, y, sample_indices=None
+) -> DecisionTreeRegressor:
+    """The depth-first CART fit, one node at a time, kept as the oracle.
+
+    The growth loop ``fit`` replaced with :func:`_grow_level_wise`,
+    op for op: the level-wise tests compare against it, and
+    :func:`fit_trees` still runs it for subsampled ``max_features``,
+    whose per-node feature draws follow its depth-first order.
+    """
+    X, y = check_X_y(X, y)
+    tree._validate_hyperparams()
+    rng = check_random_state(tree.random_state)
+    n_features = X.shape[1]
+    k_features = tree._resolve_max_features(n_features)
+    max_depth = np.inf if tree.max_depth is None else tree.max_depth
+    sample_indices = _bag_indices(sample_indices, X.shape[0])
+
+    nodes = Tree()
+    feature_importances = np.zeros(n_features)
+    total_weight = sample_indices.size
+
+    # Depth-first growth with an explicit stack of (indices, depth,
+    # parent, is_left); children are attached after creation.
+    root_y = y[sample_indices]
+    root_id = nodes.add_node(
+        float(root_y.mean()),
+        sample_indices.size,
+        _node_impurity(root_y.sum(), (root_y**2).sum(), root_y.size),
+    )
+    stack: list[tuple[np.ndarray, int, int]] = [(sample_indices, 0, root_id)]
+    while stack:
+        indices, depth, node_id = stack.pop()
+        n_node = indices.size
+        node_impurity = nodes.impurity[node_id]
+        if (
+            depth >= max_depth
+            or n_node < tree.min_samples_split
+            or n_node < 2 * tree.min_samples_leaf
+            or node_impurity <= 0.0
+        ):
+            continue
+
+        y_node = y[indices]
+        if k_features < n_features:
+            candidates = rng.choice(n_features, size=k_features, replace=False)
+        else:
+            candidates = np.arange(n_features)
+
+        node_sse = node_impurity * n_node
+        best_gain = -np.inf
+        best_feature = -1
+        best_threshold = np.nan
+        for feat in candidates:
+            found = _best_split_for_feature(
+                X[indices, feat], y_node, tree.min_samples_leaf
+            )
+            if found is None:
+                continue
+            child_sse, threshold = found
+            gain = node_sse - child_sse
+            if gain > best_gain:
+                best_gain = gain
+                best_feature = int(feat)
+                best_threshold = threshold
+
+        # The impurity decrease is weighted by the node's share of
+        # training samples, as in CART cost-complexity accounting.
+        if best_feature < 0 or best_gain / total_weight < tree.min_impurity_decrease:
+            continue
+        if best_gain <= 1e-12 * max(node_sse, 1.0):
+            continue
+
+        go_left = X[indices, best_feature] <= best_threshold
+        left_idx = indices[go_left]
+        right_idx = indices[~go_left]
+        if (
+            left_idx.size < tree.min_samples_leaf
+            or right_idx.size < tree.min_samples_leaf
+        ):
+            continue
+
+        nodes.feature[node_id] = best_feature
+        nodes.threshold[node_id] = best_threshold
+        feature_importances[best_feature] += best_gain
+
+        for child_indices, attach in ((left_idx, "left"), (right_idx, "right")):
+            y_child = y[child_indices]
+            child_id = nodes.add_node(
+                float(y_child.mean()),
+                child_indices.size,
+                _node_impurity(
+                    y_child.sum(), (y_child**2).sum(), y_child.size
+                ),
+            )
+            if attach == "left":
+                nodes.children_left[node_id] = child_id
+            else:
+                nodes.children_right[node_id] = child_id
+            stack.append((child_indices, depth + 1, child_id))
+
+    nodes.finalize()
+    tree._install(nodes, feature_importances)
+    return tree
 
 
 def export_text(
