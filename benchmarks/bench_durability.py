@@ -58,7 +58,7 @@ def build_engine(n_vehicles: int) -> tuple[FleetEngine, list[str]]:
         window=0,
         algorithm="LR",
         guard=IngestionGuard(),
-        config=EngineConfig(max_workers=1, executor="serial"),
+        config=EngineConfig(),
     )
     ids = [f"v{i:03d}" for i in range(n_vehicles)]
     engine.register_fleet(ids)

@@ -9,7 +9,7 @@ cycle state in O(1).  The two are bit-identical, so this is pure
 speedup.
 
 Also reports batch-training and batch-prediction throughput through
-:class:`FleetEngine` at several worker counts.
+:class:`FleetEngine`.
 
 Run directly (not via pytest)::
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.cycles import derive_series
 from repro.core.series import VehicleSeries
-from repro.serving.engine import EngineConfig, FleetEngine
+from repro.serving.engine import FleetEngine
 from repro.serving.reliability import IngestionGuard
 from repro.serving.service import MaintenancePredictionService
 
@@ -137,39 +137,32 @@ def bench_guard(
     return lines
 
 
-def bench_batch(
-    fleet: dict[str, np.ndarray], worker_counts: tuple[int, ...]
-) -> list[str]:
-    """Batch training + prediction wall time per worker count."""
-    lines = [f"batch train + predict, {len(fleet)} vehicles:"]
-    reference = None
-    for max_workers in worker_counts:
-        engine = FleetEngine(
-            t_v=T_V,
-            window=0,
-            algorithm="LR",
-            config=EngineConfig(max_workers=max_workers),
-        )
-        engine.register_fleet(fleet)
-        for vehicle_id, usage in fleet.items():
-            engine.ingest_history(vehicle_id, usage)
-        start = perf_counter()
-        trained = engine.refresh_models()
-        train_s = perf_counter() - start
-        start = perf_counter()
-        forecasts = engine.predict_all()
-        predict_s = perf_counter() - start
-        lines.append(
-            f"  workers={max_workers}: trained {trained} models in "
-            f"{train_s:6.3f} s, {len(forecasts)} forecasts in "
-            f"{predict_s:6.3f} s"
-        )
-        if reference is None:
-            reference = forecasts
-        else:
-            assert forecasts == reference, "parallel run diverged from serial"
-    lines.append("  all worker counts produced identical forecasts")
-    return lines
+def bench_batch(fleet: dict[str, np.ndarray]) -> list[str]:
+    """Batch training + prediction wall time, checked against the plain
+    serial service."""
+    engine = FleetEngine(t_v=T_V, window=0, algorithm="LR")
+    engine.register_fleet(fleet)
+    for vehicle_id, usage in fleet.items():
+        engine.ingest_history(vehicle_id, usage)
+    start = perf_counter()
+    trained = engine.refresh_models()
+    train_s = perf_counter() - start
+    start = perf_counter()
+    forecasts = engine.predict_all()
+    predict_s = perf_counter() - start
+
+    serial = MaintenancePredictionService(t_v=T_V, window=0, algorithm="LR")
+    for vehicle_id in sorted(fleet):
+        serial.register_vehicle(vehicle_id)
+        serial.ingest_series(vehicle_id, fleet[vehicle_id])
+    reference = [serial.predict(vehicle_id) for vehicle_id in sorted(fleet)]
+    assert forecasts == reference, "batch run diverged from serial"
+    return [
+        f"batch train + predict, {len(fleet)} vehicles:",
+        f"  trained {trained} models in {train_s:6.3f} s, "
+        f"{len(forecasts)} forecasts in {predict_s:6.3f} s",
+        "  forecasts identical to the serial service",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         vehicle_id: usage[:60]
         for vehicle_id, usage in list(fleet.items())[:n_vehicles]
     }
-    lines += bench_batch(batch_fleet, (1, 4))
+    lines += bench_batch(batch_fleet)
 
     text = "\n".join(lines)
     print(text)

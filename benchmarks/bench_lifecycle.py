@@ -62,7 +62,7 @@ def build_stack(n_vehicles: int, store_dir: str):
     )
     engine = FleetEngine(
         service,
-        config=EngineConfig(max_workers=1, executor="serial", auto_refresh=False),
+        config=EngineConfig(auto_refresh=False),
     )
     controller = LifecycleController(
         engine,

@@ -130,7 +130,7 @@ def build_engine(usage) -> FleetEngine:
         t_v=T_V,
         window=WINDOW,
         algorithm="RF",
-        config=EngineConfig(max_workers=1, executor="serial"),
+        config=EngineConfig(),
     )
     engine.register_fleet(usage)
     for vehicle_id, series in usage.items():

@@ -38,9 +38,9 @@ __all__ = ["build_parser", "main"]
 def _positive_int(text: str) -> int:
     """argparse type for worker/size knobs: an integer >= 1.
 
-    ``--max-workers 0`` (or a negative count) used to slip through to
-    the executor and fail deep inside ``concurrent.futures``; rejecting
-    it at the parser gives a clear, immediate error instead.
+    ``--max-workers 0`` (or a negative count) would otherwise fail deep
+    inside ``concurrent.futures``; rejecting it at the parser gives a
+    clear, immediate error instead.
     """
     try:
         value = int(text)
@@ -110,7 +110,6 @@ def _cmd_evaluate(args) -> int:
         fast=not args.paper_grids,
         n_old_vehicles=args.old_vehicles,
         max_workers=args.max_workers,
-        executor_kind=args.executor,
     )
 
     def render_all() -> list[str]:
@@ -282,7 +281,6 @@ def _cmd_chaos(args) -> int:
     from .serving import (
         CircuitBreaker,
         DriftMonitor,
-        EngineConfig,
         FaultInjector,
         FaultyStore,
         FleetEngine,
@@ -331,9 +329,7 @@ def _cmd_chaos(args) -> int:
             retry=retry,
             predictor_factory=faulty_predictor_factory(injector),
         )
-        engine = FleetEngine(
-            service, config=EngineConfig(max_workers=1, executor="serial")
-        )
+        engine = FleetEngine(service)
         engine.register_fleet(clean)
 
         degraded = total_forecasts = 0
@@ -688,7 +684,7 @@ def _cmd_obs(args) -> int:
     import numpy as np
 
     from .obs import EventLog, Observability
-    from .serving import DriftMonitor, EngineConfig, FleetEngine
+    from .serving import DriftMonitor, FleetEngine
 
     fleet = None
     if args.input:
@@ -703,7 +699,6 @@ def _cmd_obs(args) -> int:
         window=args.window,
         algorithm=args.algorithm,
         monitor=DriftMonitor(min_samples=1),
-        config=EngineConfig(max_workers=1, executor="serial"),
     )
     obs = Observability(events=EventLog(capacity=args.capacity))
     engine.attach_observability(obs)
@@ -742,7 +737,7 @@ def _cmd_obs(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .serving import EngineConfig, FleetEngine
+    from .serving import FleetEngine
     from .serving.gateway import FleetGateway, GatewayConfig
 
     gateway_config = GatewayConfig(
@@ -783,7 +778,6 @@ def _cmd_serve(args) -> int:
         # model-store / journal / lifecycle partition.  The factory
         # runs inside each forked worker; the preloaded fleet crosses
         # over through fork memory, no pickling.
-        from .serving.executor import default_max_workers
         from .serving.sharding import (
             ShardRouter,
             ShardedFleetEngine,
@@ -791,16 +785,10 @@ def _cmd_serve(args) -> int:
         )
 
         router = ShardRouter(args.shards)
-        per_shard_workers = (
-            args.max_workers
-            if args.max_workers is not None
-            else max(1, default_max_workers() // args.shards)
-        )
 
         def engine_factory(shard_index: int):
             shard_engine = build_shard_engine(
                 shard_index,
-                config=EngineConfig(max_workers=per_shard_workers),
                 store_dir=args.store,
                 resilient=args.resilient,
                 monitor=True,
@@ -830,8 +818,7 @@ def _cmd_serve(args) -> int:
         for vehicle_id in engine.vehicle_ids:
             counts[router.shard_for(vehicle_id)] += 1
         print(
-            f"sharded pool: {args.shards} worker processes, "
-            f"{per_shard_workers} engine worker(s) each, vehicles/shard "
+            f"sharded pool: {args.shards} worker processes, vehicles/shard "
             + "/".join(str(counts[index]) for index in sorted(counts))
         )
         if fleet is not None:
@@ -851,7 +838,6 @@ def _cmd_serve(args) -> int:
             t_v=t_v,
             window=args.window,
             algorithm=args.algorithm,
-            config=EngineConfig(max_workers=args.max_workers),
             **service_kwargs,
         )
         if fleet is not None:
@@ -975,13 +961,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=_positive_int,
         default=None,
-        help="fan per-vehicle runs out over N workers (default: serial)",
-    )
-    evaluate.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="worker pool kind used with --max-workers",
+        help=(
+            "fan per-vehicle runs out over N worker processes "
+            "(default: serial)"
+        ),
     )
     evaluate.set_defaults(func=_cmd_evaluate)
 
@@ -1156,15 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5000.0,
         help="default per-request deadline (504 once passed)",
-    )
-    serve.add_argument(
-        "--max-workers",
-        type=_positive_int,
-        default=None,
-        help=(
-            "engine worker bound for training/prediction fan-out "
-            "(sharded: per shard, default host workers / shards)"
-        ),
     )
     serve.add_argument(
         "--shards",

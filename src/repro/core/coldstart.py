@@ -351,8 +351,9 @@ class ColdStartExperiment:
     ) -> list[ColdStartResult]:
         """Table 3 (semi-new column): BL + {alg}x{Uni, Sim} per vehicle.
 
-        ``executor`` fans the per-test-vehicle work out in parallel;
-        the flattened result order matches the serial loop exactly.
+        ``executor`` (any :class:`concurrent.futures.Executor`) fans the
+        per-test-vehicle work out in parallel; the flattened result
+        order matches the serial loop exactly.
         """
         algorithms = [a for a in algorithms if a != "BL"]
         unified = {
@@ -365,10 +366,8 @@ class ColdStartExperiment:
             unified=unified,
             algorithms=tuple(algorithms),
         )
-        if executor is None:
-            groups = [task(series) for series in test_series]
-        else:
-            groups = executor.map_ordered(task, test_series)
+        fan_out = map if executor is None else executor.map
+        groups = fan_out(task, test_series)
         return [result for group in groups for result in group]
 
     def run_new(
@@ -398,10 +397,8 @@ class ColdStartExperiment:
             algorithms=tuple(algorithms),
             era=era,
         )
-        if executor is None:
-            groups = [task(series) for series in test_series]
-        else:
-            groups = executor.map_ordered(task, test_series)
+        fan_out = map if executor is None else executor.map
+        groups = fan_out(task, test_series)
         return [result for group in groups for result in group]
 
 

@@ -234,18 +234,16 @@ class OldVehicleExperiment:
     ) -> FleetResult:
         """Evaluate one algorithm over every vehicle.
 
-        ``executor`` (a :class:`repro.serving.executor.FleetExecutor`)
-        fans the per-vehicle runs out in parallel; results keep the
-        input vehicle order and are identical to the serial loop
-        (training is per-vehicle independent and seeded).
+        ``executor`` (any :class:`concurrent.futures.Executor`) fans the
+        per-vehicle runs out in parallel; results keep the input
+        vehicle order and are identical to the serial loop (training is
+        per-vehicle independent and seeded).
         """
         if not fleet_series:
             raise ValueError("fleet_series must be non-empty.")
         task = _RunVehicleTask(config=self.config, algorithm=algorithm)
-        if executor is None:
-            results = [task(series) for series in fleet_series]
-        else:
-            results = executor.map_ordered(task, fleet_series)
+        fan_out = map if executor is None else executor.map
+        results = list(fan_out(task, fleet_series))
         return FleetResult(
             algorithm=algorithm, window=self.config.window, results=results
         )

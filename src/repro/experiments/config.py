@@ -8,12 +8,15 @@ evaluation runs off one synthetic fleet and one seed.  ``fast=True``
 
 from __future__ import annotations
 
+import multiprocessing
+from collections.abc import Iterator
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 from ..core.series import VehicleSeries
 from ..fleet.generator import Fleet, FleetGenerator
-from ..serving.executor import FleetExecutor
 
 __all__ = ["ExperimentSetup"]
 
@@ -36,11 +39,9 @@ class ExperimentSetup:
         How many vehicles the old-vehicle experiments use; ``None``
         means all in slow mode / 8 in fast mode.
     max_workers:
-        Parallel fan-out for the per-vehicle experiment runs; ``None``
-        keeps the historical serial loop.  Results are identical either
+        Worker processes for the per-vehicle experiment runs; ``None``
+        or ``1`` keeps the serial loop.  Results are identical either
         way (per-vehicle training is independent and seeded).
-    executor_kind:
-        ``"thread"`` (default) or ``"process"`` for the fan-out.
     """
 
     seed: int = 0
@@ -49,7 +50,6 @@ class ExperimentSetup:
     fast: bool = True
     n_old_vehicles: int | None = None
     max_workers: int | None = None
-    executor_kind: str = "thread"
 
     @cached_property
     def fleet(self) -> Fleet:
@@ -75,11 +75,21 @@ class ExperimentSetup:
         """Grid-search mode forwarded to the registry."""
         return None if self.fast else "paper"
 
-    @property
-    def executor(self) -> FleetExecutor | None:
-        """Per-vehicle fan-out executor (``None`` = serial loop)."""
-        if self.max_workers is None:
-            return None
-        return FleetExecutor(
-            max_workers=self.max_workers, kind=self.executor_kind
-        )
+    @contextmanager
+    def pool(self) -> Iterator[Executor | None]:
+        """A process pool for one driver's fan-out, shut down on exit.
+
+        Yields ``None`` (the serial loop, no pool started) unless
+        ``max_workers`` is 2 or more.  Processes, not threads: the
+        per-vehicle fits hold the GIL, so only processes overlap them.
+        Workers are spawned, not forked, so a caller's threads are never
+        copied into them mid-operation.
+        """
+        if self.max_workers is None or self.max_workers == 1:
+            yield None
+            return
+        with ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            yield pool

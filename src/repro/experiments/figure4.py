@@ -75,28 +75,28 @@ def run_figure4(
     if 0 not in windows:
         raise ValueError("windows must include 0 (the improvement anchor).")
     series = setup.old_series
-    executor = setup.executor
 
     curves: dict[str, dict[int, float]] = {}
-    for algorithm in algorithms:
-        curve: dict[int, float] = {}
-        if algorithm == "BL":
-            experiment = OldVehicleExperiment(
-                OldVehicleConfig(window=0, restrict_to_horizon=True)
-            )
-            value = experiment.run_fleet(series, algorithm, executor).e_mre
-            curve = {w: float(value) for w in windows}
-        else:
-            for window in windows:
+    with setup.pool() as executor:
+        for algorithm in algorithms:
+            curve: dict[int, float] = {}
+            if algorithm == "BL":
                 experiment = OldVehicleExperiment(
-                    OldVehicleConfig(
-                        window=window,
-                        restrict_to_horizon=True,
-                        grid=setup.grid,
+                    OldVehicleConfig(window=0, restrict_to_horizon=True)
+                )
+                value = experiment.run_fleet(series, algorithm, executor).e_mre
+                curve = {w: float(value) for w in windows}
+            else:
+                for window in windows:
+                    experiment = OldVehicleExperiment(
+                        OldVehicleConfig(
+                            window=window,
+                            restrict_to_horizon=True,
+                            grid=setup.grid,
+                        )
                     )
-                )
-                curve[window] = float(
-                    experiment.run_fleet(series, algorithm, executor).e_mre
-                )
-        curves[algorithm] = curve
+                    curve[window] = float(
+                        experiment.run_fleet(series, algorithm, executor).e_mre
+                    )
+            curves[algorithm] = curve
     return Figure4Result(e_mre=curves, setup=setup)

@@ -84,22 +84,22 @@ def run_table1(
         )
     )
 
-    executor = setup.executor
     rows = []
-    for algorithm in algorithms:
-        e_all = all_data.run_fleet(series, algorithm, executor).e_mre
-        if algorithm == "BL":
-            # "Since BL is not trained, its results do not change."
-            e_restricted = e_all
-        else:
-            e_restricted = restricted.run_fleet(
-                series, algorithm, executor
-            ).e_mre
-        rows.append(
-            Table1Row(
-                algorithm=algorithm,
-                e_mre_all_data=float(e_all),
-                e_mre_restricted=float(e_restricted),
+    with setup.pool() as executor:
+        for algorithm in algorithms:
+            e_all = all_data.run_fleet(series, algorithm, executor).e_mre
+            if algorithm == "BL":
+                # "Since BL is not trained, its results do not change."
+                e_restricted = e_all
+            else:
+                e_restricted = restricted.run_fleet(
+                    series, algorithm, executor
+                ).e_mre
+            rows.append(
+                Table1Row(
+                    algorithm=algorithm,
+                    e_mre_all_data=float(e_all),
+                    e_mre_restricted=float(e_restricted),
+                )
             )
-        )
     return Table1Result(rows=rows, setup=setup)

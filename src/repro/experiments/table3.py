@@ -89,14 +89,14 @@ def run_table3(
     experiment = ColdStartExperiment(
         ColdStartConfig(window=window, grid=setup.grid, seed=setup.seed)
     )
-    executor = setup.executor
     train, test = experiment.split_fleet(setup.all_series)
-    semi_results = experiment.run_semi_new(
-        train, test, algorithms, executor=executor
-    )
-    new_results = experiment.run_new(
-        train, test, algorithms, executor=executor
-    )
+    with setup.pool() as executor:
+        semi_results = experiment.run_semi_new(
+            train, test, algorithms, executor=executor
+        )
+        new_results = experiment.run_new(
+            train, test, algorithms, executor=executor
+        )
     return Table3Result(
         semi_new_e_mre=aggregate_by_label(semi_results, "e_mre"),
         new_e_global=aggregate_by_label(new_results, "e_global"),

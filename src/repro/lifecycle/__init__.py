@@ -7,8 +7,8 @@ path and behind an evaluation gate:
 
 - :class:`LifecycleController` — consumes debounced
   :class:`~repro.serving.monitoring.DriftMonitor` alerts plus an
-  optional staleness schedule, retrains challengers through the fleet
-  executor, and drives the promote/reject decision.
+  optional staleness schedule, retrains challengers with the service's
+  per-vehicle fit, and drives the promote/reject decision.
 - :class:`ShadowEvaluator` / :class:`ShadowReport` — replay recent
   resolved days through champion and challenger; paired error stats.
 - :class:`PromotionPolicy` / :class:`PromotionDecision` — the gates a

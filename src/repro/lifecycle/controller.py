@@ -8,8 +8,8 @@ sweep:
 1. collects **candidates** — vehicles with a debounced drift alert
    (``monitor.fire_alerts()``) plus, optionally, vehicles whose champion
    is more than ``staleness_cycles`` maintenance cycles old;
-2. trains a **challenger** off the hot path through the engine's
-   training executor (the champion keeps serving throughout);
+2. trains a **challenger** with the service's one per-vehicle fit
+   (the champion keeps serving throughout);
 3. **shadow-evaluates** both models on the vehicle's recent resolved
    days and runs the :class:`~repro.lifecycle.policy.PromotionPolicy`;
 4. on a pass, **promotes**: the challenger is persisted to the
@@ -30,10 +30,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..obs import tracing
-from ..serving.engine import _run_training_task_safe, _TrainingTask
 from .policy import PromotionDecision, PromotionPolicy
 from .rollback import RollbackManager
 from .shadow import ShadowEvaluator
@@ -229,31 +226,13 @@ class LifecycleController:
             )
 
     def _train_challenger(self, vehicle_id: str):
-        """(predictor, error) — trained off-path via the fleet executor."""
+        """(predictor, error) — the champion keeps serving meanwhile."""
         service = self.engine.service
-        from ..core.registry import make_predictor as _default_factory
-
-        factory = (
-            None
-            if service._make_predictor is _default_factory
-            else service._make_predictor
-        )
-        task = _TrainingTask(
-            vehicle_id=vehicle_id,
-            usage=np.asarray(
-                service._vehicles[vehicle_id].usage, dtype=np.float64
-            ),
-            t_v=service.t_v,
-            window=service.window,
-            algorithm=service.algorithm,
-            n_cycles=len(service.series(vehicle_id).completed_cycles),
-            factory=factory,
-        )
         with tracing.span("lifecycle.train", vehicle_id=vehicle_id):
-            (result,) = self.engine._training_executor().map_ordered(
-                _run_training_task_safe, [task]
-            )
-        return result
+            try:
+                return service._fit_vehicle_model(vehicle_id), None
+            except Exception as exc:
+                return None, exc
 
     def _promote(
         self, vehicle_id: str, challenger, decision: PromotionDecision

@@ -90,9 +90,7 @@ def _build_stack(
     )
     engine = FleetEngine(
         service,
-        config=EngineConfig(
-            max_workers=1, executor="serial", auto_refresh=False
-        ),
+        config=EngineConfig(auto_refresh=False),
     )
     controller = LifecycleController(
         engine,

@@ -10,10 +10,8 @@ that keeps the service up on dirty telematics and flaky storage.
 """
 
 from .engine import EngineConfig, FleetEngine
-from .executor import FleetExecutor, default_max_workers
 from .faults import (
     FaultInjector,
-    FaultyExecutor,
     FaultyJournal,
     FaultyStore,
     InjectedFault,
@@ -58,12 +56,10 @@ __all__ = [
     "merge_fleet_health",
     "EngineConfig",
     "FleetEngine",
-    "FleetExecutor",
     "FleetGateway",
     "GatewayConfig",
     "GatewayMetrics",
     "GatewayResponse",
-    "default_max_workers",
     "DriftAlert",
     "DriftMonitor",
     "population_stability_index",
@@ -80,7 +76,6 @@ __all__ = [
     "RetryPolicy",
     "VehicleHealth",
     "FaultInjector",
-    "FaultyExecutor",
     "FaultyJournal",
     "FaultyStore",
     "InjectedFault",

@@ -1,12 +1,11 @@
-"""Batch fleet engine: parallel training + batch prediction.
+"""Batch fleet engine: fleet-wide training refresh + batch prediction.
 
 This module scales :class:`MaintenancePredictionService` to
 fleet-sized traffic without changing a single predicted ``D̂_v(t)``:
 
-* **parallel per-vehicle training** — stale old-vehicle models are
-  retrained through a :class:`~repro.serving.executor.FleetExecutor`
-  (threads by default, process pool opt-in) and installed in
-  deterministic vehicle order;
+* **per-vehicle training refresh** — stale old-vehicle models are
+  retrained on the calling thread, one small independent fit each, and
+  installed in sorted vehicle order;
 * **batch prediction** — :meth:`FleetEngine.predict_all` and
   :meth:`FleetEngine.predict_many` make one
   :meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
@@ -31,11 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.registry import make_predictor
-from ..core.series import VehicleSeries
-from ..dataprep.transformation import build_relational_dataset
 from ..obs import NULL_STAGE, Observability
-from .executor import FleetExecutor
 from .reliability import FleetHealth
 from .service import Forecast, MaintenancePredictionService
 
@@ -44,17 +39,10 @@ __all__ = ["EngineConfig", "FleetEngine"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Training-concurrency and freshness knobs of the fleet engine.
+    """Freshness knob of the fleet engine.
 
     Attributes
     ----------
-    max_workers:
-        Worker bound for the training fan-out; ``None`` sizes to the
-        host, ``1`` forces the serial schedule.
-    executor:
-        ``"thread"`` (default), ``"process"`` or ``"serial"`` for the
-        training fan-out.  Prediction always runs on the calling
-        thread: it mutates live per-vehicle service state.
     auto_refresh:
         Refresh stale old-vehicle models before every batch prediction
         (the historical contract).  ``False`` leaves model freshness to
@@ -63,59 +51,7 @@ class EngineConfig:
         prediction then serves whatever champions are installed.
     """
 
-    max_workers: int | None = None
-    executor: str = "thread"
     auto_refresh: bool = True
-
-    def __post_init__(self) -> None:
-        if self.executor not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"Unknown executor {self.executor!r}; choose "
-                "'serial', 'thread' or 'process'."
-            )
-
-
-@dataclass(frozen=True)
-class _TrainingTask:
-    """Picklable per-vehicle training job (process-pool safe).
-
-    ``factory`` overrides :func:`make_predictor` (the fault-injection
-    harness hooks in here); it must itself pickle for process pools, so
-    it stays ``None`` unless the service carries a custom factory.
-    """
-
-    vehicle_id: str
-    usage: np.ndarray
-    t_v: float
-    window: int
-    algorithm: str
-    n_cycles: int
-    factory: object | None = None
-
-    def __call__(self):
-        series = VehicleSeries(
-            vehicle_id=self.vehicle_id, usage=self.usage, t_v=self.t_v
-        )
-        dataset = build_relational_dataset(series.bundle, self.window)
-        if dataset.n_records == 0:
-            raise ValueError(
-                f"Vehicle {self.vehicle_id!r} has no labeled records yet."
-            )
-        predictor = (self.factory or make_predictor)(self.algorithm)
-        predictor.fit(dataset, usage=series.usage)
-        return predictor
-
-
-def _run_training_task(task: _TrainingTask):
-    return task()
-
-
-def _run_training_task_safe(task: _TrainingTask):
-    """Never-raising task runner: (predictor, None) or (None, exc)."""
-    try:
-        return task(), None
-    except Exception as exc:
-        return None, exc
 
 
 class FleetEngine:
@@ -127,13 +63,14 @@ class FleetEngine:
         An existing service to drive; when ``None`` a fresh one is
         built from ``service_kwargs`` (``t_v`` is then required).
     config:
-        :class:`EngineConfig`; defaults to training threads sized to
-        the host.
+        :class:`EngineConfig`; defaults to refreshing before every
+        batch prediction.
 
-    Faults are injected below the engine, at the service's
-    ``predictor_factory`` (see :func:`~repro.serving.faults.
-    faulty_predictor_factory`): training tasks carry that factory, so
-    refresh fan-out and prediction both exercise it.
+    Everything runs on the calling thread: training is a handful of
+    small independent fits per completed maintenance cycle.  Faults are
+    injected below the engine, at the service's ``predictor_factory``
+    (see :func:`~repro.serving.faults.faulty_predictor_factory`), so
+    refresh training and prediction both exercise it.
     """
 
     def __init__(
@@ -152,10 +89,6 @@ class FleetEngine:
                 "service itself."
             )
         self.service = service
-        # Lazily-built persistent training executor: FleetExecutor keeps
-        # one pool per instance, so the engine keeps the instance instead
-        # of constructing a throwaway per call.
-        self._training_executor_cache: FleetExecutor | None = None
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self.obs: Observability | None = None
@@ -249,24 +182,6 @@ class FleetEngine:
             with self._inflight_cond:
                 self._inflight -= 1
                 self._inflight_cond.notify_all()
-
-    # -- executors ---------------------------------------------------------
-
-    def _training_executor(self) -> FleetExecutor:
-        if self._training_executor_cache is None:
-            self._training_executor_cache = FleetExecutor(
-                max_workers=self.config.max_workers, kind=self.config.executor
-            )
-        return self._training_executor_cache
-
-    def close(self) -> None:
-        """Release the engine's persistent training pool; idempotent.
-
-        The engine itself stays usable for serial work, but a closed
-        pool is never resurrected.
-        """
-        if self._training_executor_cache is not None:
-            self._training_executor_cache.close()
 
     # -- ingestion ---------------------------------------------------------
 
@@ -419,12 +334,12 @@ class FleetEngine:
         return stale
 
     def refresh_models(self) -> int:
-        """Retrain every stale old-vehicle model, fanned out in parallel.
+        """Retrain every stale old-vehicle model.
 
-        Each task trains on exactly the dataset the serial
+        Each vehicle trains on exactly the dataset the serial
         ``_ensure_vehicle_model`` would use, so the installed models are
-        identical; installation (and persistence) happens in the parent
-        in sorted vehicle order.  Returns the number retrained.
+        identical; installation (and persistence) follows in sorted
+        vehicle order.  Returns the number retrained.
 
         When the service is resilient (has a circuit breaker), one
         vehicle's training failure no longer aborts the whole batch: the
@@ -438,68 +353,49 @@ class FleetEngine:
 
     def _refresh_models(self) -> int:
         service = self.service
+        breaker = service.breaker
         stale = self._stale_old_vehicles()
-        if service.breaker is not None:
+        if breaker is not None:
             # Don't hammer a tripped training path: leave those models
             # stale until prediction's allow() half-opens the circuit.
             stale = [
                 (vehicle_id, n_cycles)
                 for vehicle_id, n_cycles in stale
-                if not service.breaker.is_open(f"{vehicle_id}:per-vehicle")
+                if not breaker.is_open(f"{vehicle_id}:per-vehicle")
             ]
         if not stale:
             return 0
-        from ..core.registry import make_predictor as _default_factory
-
-        factory = (
-            None
-            if service._make_predictor is _default_factory
-            else service._make_predictor
-        )
-        tasks = [
-            _TrainingTask(
-                vehicle_id=vehicle_id,
-                usage=np.asarray(
-                    service._vehicles[vehicle_id].usage, dtype=np.float64
-                ),
-                t_v=service.t_v,
-                window=service.window,
-                algorithm=service.algorithm,
-                n_cycles=n_cycles,
-                factory=factory,
-            )
-            for vehicle_id, n_cycles in stale
-        ]
-        resilient = service.breaker is not None
-        runner = _run_training_task_safe if resilient else _run_training_task
+        predictors = []
         obs = self.obs
         with (
-            obs.stage("train", scope="fleet-refresh", tasks=len(tasks))
+            obs.stage("train", scope="fleet-refresh", tasks=len(stale))
             if obs is not None
             else NULL_STAGE
         ):
-            results = self._training_executor().map_ordered(runner, tasks)
+            for vehicle_id, _ in stale:
+                try:
+                    predictors.append(service._fit_vehicle_model(vehicle_id))
+                except Exception:
+                    if breaker is None:
+                        raise
+                    predictors.append(None)
         installed = 0
-        for task, result in zip(tasks, results):
-            if resilient:
-                predictor, error = result
-                if error is not None:
-                    service.breaker.record_failure(
-                        f"{task.vehicle_id}:per-vehicle"
-                    )
+        for (vehicle_id, n_cycles), predictor in zip(stale, predictors):
+            if breaker is not None:
+                key = f"{vehicle_id}:per-vehicle"
+                if predictor is None:
+                    breaker.record_failure(key)
                     continue
-                service.breaker.record_success(f"{task.vehicle_id}:per-vehicle")
-            else:
-                predictor = result
+                breaker.record_success(key)
             service.install_model(
-                task.vehicle_id,
+                vehicle_id,
                 predictor,
-                trained_cycles=task.n_cycles,
+                trained_cycles=n_cycles,
                 version=service._persist(
-                    f"{task.vehicle_id}.per-vehicle",
+                    f"{vehicle_id}.per-vehicle",
                     predictor,
                     strategy="per-vehicle",
-                    trained_cycles=task.n_cycles,
+                    trained_cycles=n_cycles,
                 ),
             )
             installed += 1
@@ -518,7 +414,7 @@ class FleetEngine:
     def predict_all(self, *, skip_unready: bool = True) -> list[Forecast]:
         """Forecast the whole fleet from the latest ingested day.
 
-        Refreshes stale old-vehicle models (parallel), then makes one
+        Refreshes stale old-vehicle models, then makes one
         :meth:`~repro.serving.service.MaintenancePredictionService.
         predict_batch` call.  Forecasts come back sorted by vehicle id;
         vehicles with fewer than ``window + 1`` observed days are

@@ -19,8 +19,6 @@ guards:
 * :func:`faulty_predictor_factory` — wraps the algorithm registry so
   ``fit``/``predict`` raise :exc:`InjectedFault` on schedule (plug into
   ``MaintenancePredictionService(predictor_factory=...)``).
-* :class:`FaultyExecutor` — wraps task execution with injected delays
-  (scheduling chaos) and optional exceptions.
 * :func:`corrupt_readings` — turns a clean usage array into a dirty
   telemetry feed (non-finite, negative, over-ceiling, duplicated and
   out-of-order reports), with the injector recording exactly what was
@@ -36,20 +34,16 @@ which is how the clean-path equivalence suite runs the full harness.
 
 from __future__ import annotations
 
-import time
 import zlib
 from collections import Counter
 from collections.abc import Iterator, Mapping
 
 import numpy as np
 
-from .executor import FleetExecutor
-
 __all__ = [
     "InjectedFault",
     "FaultInjector",
     "FaultyStore",
-    "FaultyExecutor",
     "FaultyJournal",
     "faulty_predictor_factory",
     "corrupt_readings",
@@ -197,37 +191,6 @@ class _FaultyPredictor:
 
     def __getattr__(self, name):
         return getattr(self._predictor, name)
-
-
-class FaultyExecutor(FleetExecutor):
-    """A :class:`FleetExecutor` injecting scheduling chaos per task.
-
-    Sites: ``executor.delay`` sleeps ``delay`` seconds before the task
-    (perturbs parallel completion order without changing results);
-    ``executor.raise`` raises :exc:`InjectedFault` instead of running
-    the task.
-    """
-
-    def __init__(
-        self,
-        injector: FaultInjector,
-        *,
-        delay: float = 0.001,
-        max_workers: int | None = None,
-        kind: str = "thread",
-    ):
-        super().__init__(max_workers=max_workers, kind=kind)
-        self.injector = injector
-        self.delay = delay
-
-    def map_ordered(self, fn, items) -> list:
-        def wrapped(item):
-            if self.injector.fires("executor.delay"):
-                time.sleep(self.delay)
-            self.injector.maybe_raise("executor.raise")
-            return fn(item)
-
-        return super().map_ordered(wrapped, items)
 
 
 class FaultyJournal:

@@ -635,6 +635,24 @@ class MaintenancePredictionService:
             self._persist_failures += 1
             return None
 
+    def _fit_vehicle_model(self, vehicle_id: str):
+        """A fresh per-vehicle model fitted on the vehicle's history.
+
+        The one per-vehicle fit: lazy training, the engine's refresh
+        and lifecycle challengers all call it.  It installs and
+        persists nothing, and raises ``ValueError`` while the vehicle
+        has no labeled records.
+        """
+        series = self.series(vehicle_id)
+        dataset = build_relational_dataset(series.bundle, self.window)
+        if dataset.n_records == 0:
+            raise ValueError(
+                f"Vehicle {vehicle_id!r} has no labeled records yet."
+            )
+        predictor = self._make_predictor(self.algorithm)
+        predictor.fit(dataset, usage=series.usage)
+        return predictor
+
     def _ensure_vehicle_model(self, vehicle_id: str):
         """Per-vehicle model, retrained when a new cycle has completed.
 
@@ -701,13 +719,7 @@ class MaintenancePredictionService:
         ):
             return state.model
         with self._stage("train", strategy="per-vehicle", vehicle_id=vehicle_id):
-            dataset = build_relational_dataset(series.bundle, self.window)
-            if dataset.n_records == 0:
-                raise ValueError(
-                    f"Vehicle {vehicle_id!r} has no labeled records yet."
-                )
-            predictor = self._make_predictor(self.algorithm)
-            predictor.fit(dataset, usage=series.usage)
+            predictor = self._fit_vehicle_model(vehicle_id)
         self.install_model(
             vehicle_id,
             predictor,

@@ -53,7 +53,6 @@ from functools import partial
 from pathlib import Path
 
 from .engine import EngineConfig, FleetEngine
-from .executor import default_max_workers
 from .reliability import FleetHealth
 from .service import Forecast
 
@@ -271,7 +270,6 @@ def _shard_worker_main(conn, shard_index: int, factory, options: dict) -> None:
             if method == "__shutdown__":
                 if manager is not None:
                     manager.close()
-                engine.close()
                 conn.send(("ok", None))
                 break
             try:
@@ -370,6 +368,10 @@ class ShardedFleetEngine:
         without pickling it.
     router:
         Routing override; defaults to ``ShardRouter(n_shards)``.
+    config:
+        :class:`EngineConfig` of every engine the default factory
+        builds.  Each shard engine trains on its worker process's one
+        engine thread, so N shards run at most N fits at once.
     lifecycle:
         Attach a per-shard lifecycle controller in every worker and
         expose the scatter-gather :attr:`lifecycle` admin facade.
@@ -380,10 +382,6 @@ class ShardedFleetEngine:
     service_kwargs:
         Forwarded to the default factory (``t_v=…``, ``window=…``,
         ``algorithm=…``); invalid with an explicit ``engine_factory``.
-
-    Worker pools are capped fleet-wide: unless ``config`` overrides it,
-    each shard engine gets ``default_max_workers() // n_shards``
-    workers (at least one) so N shards never oversubscribe the host.
     """
 
     def __init__(
@@ -415,10 +413,6 @@ class ShardedFleetEngine:
                 f"pool has {n_shards}."
             )
         if engine_factory is None:
-            if config is None:
-                config = EngineConfig(
-                    max_workers=max(1, default_max_workers() // n_shards)
-                )
             engine_factory = partial(
                 build_shard_engine,
                 config=config,

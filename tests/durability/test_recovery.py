@@ -99,7 +99,7 @@ class TestRecoverReplay:
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
-            config=EngineConfig(max_workers=1, executor="serial"),
+            config=EngineConfig(),
         )
         ids = [f"v{i:02d}" for i in range(4)]
         engine.register_fleet(ids)

@@ -1,5 +1,9 @@
 """Unit tests for repro.experiments.config."""
 
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
 from repro.experiments.config import ExperimentSetup
 
 
@@ -39,3 +43,15 @@ class TestExperimentSetup:
         assert not np.array_equal(
             a.fleet.vehicles[0].usage, b.fleet.vehicles[0].usage
         )
+
+    def test_pool_is_serial_below_two_workers(self):
+        for workers in (None, 1):
+            with ExperimentSetup(max_workers=workers).pool() as pool:
+                assert pool is None
+
+    def test_pool_is_a_process_pool_shut_down_on_exit(self):
+        with ExperimentSetup(max_workers=2).pool() as pool:
+            assert isinstance(pool, ProcessPoolExecutor)
+            assert list(pool.map(abs, [-1, -2, -3])) == [1, 2, 3]
+        with pytest.raises(RuntimeError):
+            pool.submit(abs, -1)

@@ -151,3 +151,21 @@ class TestTiming:
         timing = run_timing(setup, algorithms=("BL", "LR"), windows=(0, 6))
         text = timing.render()
         assert "Training time" in text
+
+
+class TestProcessFanOut:
+    """``max_workers=2`` fans the per-vehicle runs out over a process
+    pool; every number must equal the serial loop's, in input order."""
+
+    def test_table1_matches_serial(self, setup, table1):
+        parallel = ExperimentSetup(fast=True, n_old_vehicles=4, max_workers=2)
+        fanned = run_table1(parallel, algorithms=("BL", "LR", "RF"))
+        assert fanned.rows == table1.rows
+
+    def test_table3_matches_serial(self, setup):
+        parallel = ExperimentSetup(fast=True, n_old_vehicles=4, max_workers=2)
+        serial = run_table3(setup, algorithms=("LR",))
+        fanned = run_table3(parallel, algorithms=("LR",))
+        np.testing.assert_equal(fanned.semi_new_e_mre, serial.semi_new_e_mre)
+        np.testing.assert_equal(fanned.new_e_global, serial.new_e_global)
+        assert fanned.render() == serial.render()

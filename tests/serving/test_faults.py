@@ -14,7 +14,6 @@ from repro.learn.linear import LinearRegression
 from repro.serving.engine import EngineConfig, FleetEngine
 from repro.serving.faults import (
     FaultInjector,
-    FaultyExecutor,
     FaultyStore,
     InjectedFault,
     corrupt_readings,
@@ -164,23 +163,6 @@ class TestFaultyPredictors:
         assert injector.injected["train"] == 0
 
 
-class TestFaultyExecutor:
-    def test_delays_do_not_change_results(self):
-        injector = FaultInjector(seed=0, rates={"executor.delay": 0.5})
-        executor = FaultyExecutor(
-            injector, delay=0.001, max_workers=4, kind="thread"
-        )
-        items = list(range(32))
-        assert executor.map_ordered(_double, items) == [2 * i for i in items]
-        assert injector.injected["executor.delay"] > 0
-
-    def test_injected_exception_propagates(self):
-        injector = FaultInjector(seed=0, rates={"executor.raise": 1.0})
-        executor = FaultyExecutor(injector, max_workers=1, kind="serial")
-        with pytest.raises(InjectedFault):
-            executor.map_ordered(_double, [1])
-
-
 class TestDirtyIngestChaos:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_ingest_never_raises_and_counters_match_exactly(self, seed):
@@ -220,7 +202,7 @@ class TestDirtyIngestChaos:
         engine = FleetEngine(
             t_v=T_V, window=0, algorithm="LR", guard=IngestionGuard(),
             breaker=CircuitBreaker(),
-            config=EngineConfig(max_workers=1, executor="serial"),
+            config=EngineConfig(),
         )
         engine.register_fleet(["a", "b", "c"])
         engine.ingest_day({"a": 20_000.0, "b": float("nan"), "c": 21_000.0})
@@ -237,7 +219,7 @@ class TestTrainingFailureChaos:
             **service_kwargs,
         )
         return FleetEngine(
-            service, config=EngineConfig(max_workers=1, executor="serial")
+            service, config=EngineConfig()
         )
 
     def test_all_trainers_failing_degrades_to_baseline(self):
@@ -272,6 +254,53 @@ class TestTrainingFailureChaos:
             injector.injected["train"] + injector.injected["predict"]
         )
         assert injector.injected["train"] > 0
+
+    def test_refresh_keeps_stale_champions_of_failing_vehicles(
+        self, tmp_path, monkeypatch
+    ):
+        """Train faults hitting some vehicles of one fleet refresh: those
+        keep their stale champion and record one breaker failure each;
+        the rest retrain and install in sorted vehicle order."""
+        injector = FaultInjector(seed=7, rates={"train": 0.0})
+        service = resilient_service(
+            store=ModelStore(tmp_path),
+            predictor_factory=faulty_predictor_factory(injector),
+        )
+        engine = FleetEngine(service, config=EngineConfig(auto_refresh=False))
+        ids = [f"v{i}" for i in range(4)]
+        engine.register_fleet(ids)
+        for i, vehicle_id in enumerate(ids):
+            engine.ingest_history(vehicle_id, [18_000.0 + 1_000.0 * i] * 40)
+        assert engine.refresh_models() == len(ids)
+        champions = {v: service._vehicles[v].model for v in ids}
+        for _ in range(15):  # one more completed cycle: every model stale
+            engine.ingest_day({v: 20_000.0 for v in ids})
+
+        # A rate-0 site draws nothing, so the refresh's fits (one per
+        # vehicle, sorted) consume a fresh twin's schedule in order.
+        twin = FaultInjector(seed=7, rates={"train": 0.5})
+        failing = {v for v in ids if twin.fires("train")}
+        assert 0 < len(failing) < len(ids)
+        injector.rates["train"] = 0.5
+        installed = []
+        install = service.install_model
+
+        def recording_install(vehicle_id, *args, **kwargs):
+            installed.append(vehicle_id)
+            return install(vehicle_id, *args, **kwargs)
+
+        monkeypatch.setattr(service, "install_model", recording_install)
+        assert engine.refresh_models() == len(ids) - len(failing)
+        assert installed == sorted(set(ids) - failing)
+        for vehicle_id in ids:
+            state = service._vehicles[vehicle_id]
+            failed = vehicle_id in failing
+            assert (state.model is champions[vehicle_id]) == failed
+            assert state.model_version == (1 if failed else 2)
+            assert service.breaker.failure_count(
+                f"{vehicle_id}:per-vehicle"
+            ) == int(failed)
+        assert injector.injected["train"] == len(failing)
 
     def test_breaker_opens_and_skips_broken_rung(self):
         injector = FaultInjector(seed=0, rates={"train": 1.0})
@@ -377,7 +406,7 @@ class TestEndToEndChaos:
             predictor_factory=faulty_predictor_factory(injector),
         )
         engine = FleetEngine(
-            service, config=EngineConfig(max_workers=1, executor="serial")
+            service, config=EngineConfig()
         )
         engine.register_fleet(clean)
         feeds = {
@@ -446,7 +475,3 @@ class TestEndToEndChaos:
         first = run(tmp_path / "a")
         second = run(tmp_path / "b")
         assert first == second
-
-
-def _double(x):
-    return 2 * x

@@ -1,9 +1,9 @@
 """Serial-equivalence suite for the batch fleet engine.
 
-The engine's correctness contract is that caching and parallelism are
-pure scheduling changes: for any fleet, batch/parallel/cached
-predictions must be *identical* (exact float equality, not approx) to
-the serial :class:`MaintenancePredictionService` path.
+The engine's correctness contract is that batching and caching are
+pure scheduling changes: for any fleet, batch/cached predictions must
+be *identical* (exact float equality, not approx) to the serial
+:class:`MaintenancePredictionService` path.
 """
 
 import threading
@@ -14,7 +14,6 @@ import pytest
 from repro.core.categorize import VehicleCategory
 from repro.core.cycles import derive_series
 from repro.serving.engine import EngineConfig, FleetEngine
-from repro.serving.executor import FleetExecutor
 from repro.serving.service import MaintenancePredictionService
 
 T_V = 200_000.0
@@ -60,46 +59,43 @@ def build_engine(usage_map, config, **kwargs) -> FleetEngine:
 
 class TestSerialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_predict_all_identical_to_serial(self, seed, max_workers):
+    def test_predict_all_identical_to_serial(self, seed):
         usage_map = random_fleet(seed)
         reference = serial_forecasts(
             build_serial(usage_map, window=0, algorithm="LR")
         )
         engine = build_engine(
-            usage_map,
-            EngineConfig(max_workers=max_workers),
-            window=0,
-            algorithm="LR",
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         assert engine.predict_all() == reference
 
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_multivariate_rf_identical_to_serial(self, max_workers):
+    def test_multivariate_rf_identical_to_serial(self):
         usage_map = random_fleet(3)
         reference = serial_forecasts(
             build_serial(usage_map, window=3, algorithm="RF")
         )
         engine = build_engine(
-            usage_map,
-            EngineConfig(max_workers=max_workers),
-            window=3,
-            algorithm="RF",
+            usage_map, EngineConfig(), window=3, algorithm="RF"
         )
         assert engine.predict_all() == reference
 
-    def test_process_pool_training_identical_to_serial(self):
-        usage_map = random_fleet(4)
-        reference = serial_forecasts(
-            build_serial(usage_map, window=0, algorithm="RF")
-        )
+    def test_cold_predict_all_starts_no_threads(self):
+        """Refresh training runs on the calling thread: a cold
+        ``predict_all`` that fits every OLD vehicle's model leaves the
+        process's thread count where it was."""
+        rng = np.random.default_rng(4)
+        usage_map = {
+            f"old{i}": rng.uniform(14_000, 26_000, size=40) for i in range(4)
+        }
         engine = build_engine(
-            usage_map,
-            EngineConfig(max_workers=2, executor="process"),
-            window=0,
-            algorithm="RF",
+            usage_map, EngineConfig(), window=0, algorithm="RF"
         )
-        assert engine.predict_all() == reference
+        before = threading.active_count()
+        forecasts = engine.predict_all()
+        assert threading.active_count() == before
+        assert {f.category for f in forecasts} == {VehicleCategory.OLD}
+        assert len(forecasts) == 4
+        assert engine.refresh_models() == 0  # every model was fitted
 
     def test_repeated_ingest_predict_cycles_stay_identical(self):
         """Interleaved daily ingest + batch prediction matches serial."""
@@ -108,7 +104,7 @@ class TestSerialEquivalence:
         extra = {v: rng.uniform(12_000, 24_000, size=6) for v in usage_map}
         serial = build_serial(usage_map, window=0, algorithm="LR")
         engine = build_engine(
-            usage_map, EngineConfig(max_workers=4), window=0, algorithm="LR"
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         for day in range(6):
             today = {v: extra[v][day] for v in usage_map}
@@ -125,10 +121,7 @@ class TestResilientCleanPathEquivalence:
     plain serial service."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_full_reliability_stack_is_invisible_on_clean_data(
-        self, seed, max_workers
-    ):
+    def test_full_reliability_stack_is_invisible_on_clean_data(self, seed):
         from repro.serving.faults import (
             FaultInjector,
             faulty_predictor_factory,
@@ -146,7 +139,7 @@ class TestResilientCleanPathEquivalence:
         injector = FaultInjector(seed=seed)  # no rates: never fires
         engine = build_engine(
             usage_map,
-            EngineConfig(max_workers=max_workers),
+            EngineConfig(),
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
@@ -172,7 +165,7 @@ class TestResilientCleanPathEquivalence:
         serial = build_serial(usage_map, window=0, algorithm="LR")
         engine = build_engine(
             usage_map,
-            EngineConfig(max_workers=4),
+            EngineConfig(),
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
@@ -190,7 +183,7 @@ class TestEngineBehavior:
     def test_forecasts_sorted_by_vehicle_id(self):
         usage_map = random_fleet(6)
         engine = build_engine(
-            usage_map, EngineConfig(max_workers=4), window=0, algorithm="LR"
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         forecasts = engine.predict_all()
         ids = [f.vehicle_id for f in forecasts]
@@ -199,7 +192,7 @@ class TestEngineBehavior:
     def test_skip_unready_vehicles(self):
         usage_map = {"v1": np.full(25, 20_000.0), "v2": np.zeros(0)}
         engine = build_engine(
-            usage_map, EngineConfig(max_workers=2), window=0, algorithm="LR"
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         assert [f.vehicle_id for f in engine.predict_all()] == ["v1"]
         with pytest.raises(ValueError):
@@ -208,7 +201,7 @@ class TestEngineBehavior:
     def test_refresh_models_counts_and_caches(self):
         usage_map = random_fleet(7)
         engine = build_engine(
-            usage_map, EngineConfig(max_workers=2), window=0, algorithm="LR"
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         n_old = sum(1 for v in usage_map if v.startswith("old"))
         assert engine.refresh_models() == n_old
@@ -220,7 +213,7 @@ class TestEngineBehavior:
         old_ids = sorted(v for v in usage_map if v.startswith("old"))
         reference = [serial.predict(v) for v in old_ids]
         engine = build_engine(
-            usage_map, EngineConfig(max_workers=4), window=0, algorithm="LR"
+            usage_map, EngineConfig(), window=0, algorithm="LR"
         )
         assert engine.predict_many(old_ids) == reference
 
@@ -280,7 +273,7 @@ class TestStaleKernelRegression:
         serial = build_serial(empty, window=0, algorithm="RF")
         engine = build_engine(
             empty,
-            EngineConfig(max_workers=1, executor="serial"),
+            EngineConfig(),
             window=0,
             algorithm="RF",
         )
@@ -296,78 +289,3 @@ class TestStaleKernelRegression:
                 assert engine.predict_many(["b"]) == [serial.predict("b")]
                 compared += 1
         assert compared >= 3
-
-
-class TestFleetExecutor:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            FleetExecutor(kind="fiber")
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            FleetExecutor(max_workers=0)
-
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
-    def test_map_ordered_preserves_order(self, kind):
-        executor = FleetExecutor(max_workers=4, kind=kind)
-        items = list(range(20))
-        try:
-            assert executor.map_ordered(_square, items) == [
-                i * i for i in items
-            ]
-        finally:
-            executor.close()
-
-    def test_pool_persists_across_calls(self):
-        # Regression for pool churn: map_ordered used to build and tear
-        # down a fresh ThreadPoolExecutor per call.  The same executor
-        # must serve repeated calls from one pool — same pool object,
-        # same worker threads, no respawning.
-        with FleetExecutor(max_workers=2, kind="thread") as executor:
-            first = set(executor.map_ordered(_worker_ident, range(8)))
-            pool = executor._pool
-            assert pool is not None
-            second = set(executor.map_ordered(_worker_ident, range(8)))
-            assert executor._pool is pool
-            # Every item of both calls ran on a thread owned by the one
-            # persistent pool.  (Not `first == second`: the stdlib pool
-            # spawns threads lazily and a fast worker may drain a whole
-            # call alone, so the per-call ident sets can differ.)
-            pool_idents = {t.ident for t in pool._threads}
-            assert first <= pool_idents
-            assert second <= pool_idents
-        assert executor.closed
-
-    def test_serial_calls_never_build_a_pool(self):
-        executor = FleetExecutor(max_workers=4, kind="thread")
-        assert executor.map_ordered(_square, [3]) == [9]  # 1 item: serial
-        assert executor._pool is None
-        serial = FleetExecutor(kind="serial")
-        assert serial.map_ordered(_square, range(10)) == [
-            i * i for i in range(10)
-        ]
-        assert serial._pool is None
-
-    def test_close_is_idempotent_and_rejects_work(self):
-        executor = FleetExecutor(max_workers=2, kind="thread")
-        executor.map_ordered(_square, range(4))
-        executor.close()
-        executor.close()
-        assert executor.closed
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map_ordered(_square, range(4))
-
-    def test_parallel_results_match_serial(self):
-        items = list(range(37))
-        expected = [_square(i) for i in items]
-        with FleetExecutor(max_workers=3, kind="thread") as executor:
-            for _ in range(3):
-                assert executor.map_ordered(_square, items) == expected
-
-
-def _square(x):
-    return x * x
-
-
-def _worker_ident(_item):
-    return threading.get_ident()

@@ -68,7 +68,7 @@ def build_degraded_engine() -> FleetEngine:
         predictor_factory=faulty_predictor_factory(injector),
     )
     engine = FleetEngine(
-        service, config=EngineConfig(max_workers=1, executor="serial")
+        service, config=EngineConfig()
     )
     usage = fleet_usage()
     engine.register_fleet(usage)

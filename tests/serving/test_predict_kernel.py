@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_predictor
-from repro.serving.engine import EngineConfig, FleetEngine
+from repro.serving.engine import FleetEngine
 from repro.serving.kernel_cache import CompiledModelCache
 from repro.serving.persistence import ModelStore
 from repro.serving.reliability import CircuitBreaker, IngestionGuard
@@ -52,7 +52,7 @@ def serial_forecasts(service):
 
 def build_engine(usage_map, config=None, **kwargs) -> FleetEngine:
     engine = FleetEngine(
-        t_v=T_V, config=config or EngineConfig(max_workers=1), **kwargs
+        t_v=T_V, config=config, **kwargs
     )
     engine.register_fleet(usage_map)
     for vehicle_id in sorted(usage_map):

@@ -39,9 +39,7 @@ def build_stack(tmp_path, *, breaker=True, failure_threshold=2, cooldown=3):
     )
     engine = FleetEngine(
         service,
-        config=EngineConfig(
-            max_workers=1, executor="serial", auto_refresh=False
-        ),
+        config=EngineConfig(auto_refresh=False),
     )
     service.register_vehicle("v1")
     service.ingest_series("v1", np.full(40, 20_000.0))  # ~4 cycles: OLD

@@ -152,7 +152,7 @@ class TestMaxWorkersValidation:
         assert "expected an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", ["--max-workers", "--max-queue", "--max-batch"]
+        "flag", ["--max-queue", "--max-batch"]
     )
     def test_serve_rejects_non_positive(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
