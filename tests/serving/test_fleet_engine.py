@@ -59,7 +59,10 @@ def build_engine(usage_map, config, **kwargs) -> FleetEngine:
 
 class TestSerialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_predict_all_identical_to_serial(self, seed):
+    @pytest.mark.parametrize("calls", [1, 4])
+    def test_predict_all_identical_to_serial(self, seed, calls):
+        """A cold ``predict_all`` and every cached repeat of it equal
+        the serial forecasts."""
         usage_map = random_fleet(seed)
         reference = serial_forecasts(
             build_serial(usage_map, window=0, algorithm="LR")
@@ -67,9 +70,11 @@ class TestSerialEquivalence:
         engine = build_engine(
             usage_map, EngineConfig(), window=0, algorithm="LR"
         )
-        assert engine.predict_all() == reference
+        for _ in range(calls):
+            assert engine.predict_all() == reference
 
-    def test_multivariate_rf_identical_to_serial(self):
+    @pytest.mark.parametrize("calls", [1, 4])
+    def test_multivariate_rf_identical_to_serial(self, calls):
         usage_map = random_fleet(3)
         reference = serial_forecasts(
             build_serial(usage_map, window=3, algorithm="RF")
@@ -77,7 +82,8 @@ class TestSerialEquivalence:
         engine = build_engine(
             usage_map, EngineConfig(), window=3, algorithm="RF"
         )
-        assert engine.predict_all() == reference
+        for _ in range(calls):
+            assert engine.predict_all() == reference
 
     def test_cold_predict_all_starts_no_threads(self):
         """Refresh training runs on the calling thread: a cold
