@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.durability import CheckpointManager, WriteAheadJournal
-from repro.serving import EngineConfig, FleetEngine, IngestionGuard
+from repro.serving import FleetEngine, IngestionGuard
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -58,7 +58,6 @@ def build_engine(n_vehicles: int) -> tuple[FleetEngine, list[str]]:
         window=0,
         algorithm="LR",
         guard=IngestionGuard(),
-        config=EngineConfig(),
     )
     ids = [f"v{i:03d}" for i in range(n_vehicles)]
     engine.register_fleet(ids)

@@ -38,7 +38,6 @@ import numpy as np
 from repro.lifecycle import LifecycleController, PromotionPolicy, ShadowEvaluator
 from repro.serving import (
     DriftMonitor,
-    EngineConfig,
     FleetEngine,
     MaintenancePredictionService,
     ModelStore,
@@ -60,10 +59,7 @@ def build_stack(n_vehicles: int, store_dir: str):
         ),
         retrain_on_cycle=False,
     )
-    engine = FleetEngine(
-        service,
-        config=EngineConfig(auto_refresh=False),
-    )
+    engine = FleetEngine(service)
     controller = LifecycleController(
         engine,
         PromotionPolicy(

@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.registry import make_predictor
 from repro.learn.compiled import compile_model, reference_predict
 from repro.serving import FleetEngine, MaintenancePredictionService
-from repro.serving.engine import EngineConfig
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -126,12 +125,7 @@ def kernel_microbench(repeats: int, inner: int):
 
 
 def build_engine(usage) -> FleetEngine:
-    engine = FleetEngine(
-        t_v=T_V,
-        window=WINDOW,
-        algorithm="RF",
-        config=EngineConfig(),
-    )
+    engine = FleetEngine(t_v=T_V, window=WINDOW, algorithm="RF")
     engine.register_fleet(usage)
     for vehicle_id, series in usage.items():
         engine.ingest_history(vehicle_id, series)

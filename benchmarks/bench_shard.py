@@ -190,9 +190,10 @@ async def run_load(
 ) -> tuple[RunStats, dict, float]:
     engine = build_engine(usage, n_shards)
     try:
-        # Train every per-vehicle model up front (in parallel across
-        # shards) so the measured window serves inference, not training.
-        engine.refresh_models()
+        # A warm-up read trains every per-vehicle model up front (in
+        # parallel across shards) so the measured window serves
+        # inference, not training.
+        engine.predict_all()
         gateway = FleetGateway(
             engine,
             GatewayConfig(

@@ -59,14 +59,12 @@ def _build_stack(
 ):
     """(engine, controller) wired for a lifecycle drill.
 
-    Frozen champions (``retrain_on_cycle=False`` + ``auto_refresh=
-    False``): the lifecycle controller is the *only* path that replaces
-    a model, so a recovery in the drill is attributable to a promotion
-    and nothing else.
+    Frozen champions (``retrain_on_cycle=False``): the lifecycle
+    controller is the *only* path that replaces a model, so a recovery
+    in the drill is attributable to a promotion and nothing else.
     """
     from ..serving import (
         DriftMonitor,
-        EngineConfig,
         FleetEngine,
         MaintenancePredictionService,
         ModelStore,
@@ -88,10 +86,7 @@ def _build_stack(
         ),
         retrain_on_cycle=False,
     )
-    engine = FleetEngine(
-        service,
-        config=EngineConfig(auto_refresh=False),
-    )
+    engine = FleetEngine(service)
     controller = LifecycleController(
         engine,
         PromotionPolicy(

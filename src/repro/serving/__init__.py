@@ -9,7 +9,7 @@ degraded serving, hardened persistence, deterministic fault injection)
 that keeps the service up on dirty telematics and flaky storage.
 """
 
-from .engine import EngineConfig, FleetEngine
+from .engine import FleetEngine
 from .faults import (
     FaultInjector,
     FaultyJournal,
@@ -54,7 +54,6 @@ __all__ = [
     "ShardedFleetEngine",
     "build_shard_engine",
     "merge_fleet_health",
-    "EngineConfig",
     "FleetEngine",
     "FleetGateway",
     "GatewayConfig",

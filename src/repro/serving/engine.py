@@ -1,16 +1,15 @@
-"""Batch fleet engine: fleet-wide training refresh + batch prediction.
+"""Batch fleet engine: fleet-wide ingestion + batch prediction.
 
 This module scales :class:`MaintenancePredictionService` to
 fleet-sized traffic without changing a single predicted ``D̂_v(t)``:
-
-* **per-vehicle training refresh** — stale old-vehicle models are
-  retrained on the calling thread, one small independent fit each, and
-  installed in sorted vehicle order;
-* **batch prediction** — :meth:`FleetEngine.predict_all` and
-  :meth:`FleetEngine.predict_many` make one
-  :meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
-  call, which stacks vehicles sharing a model into one kernel call,
-  and return forecasts sorted by vehicle id.
+:meth:`FleetEngine.predict_all` and :meth:`FleetEngine.predict_many`
+make one
+:meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
+call, which stacks vehicles sharing a model into one kernel call, and
+return forecasts sorted by vehicle id.  A read touches only the
+vehicles it asks for: a stale per-vehicle model is retrained by the
+service's ``_ensure_vehicle_model`` when that vehicle is routed, the
+one place that decides a model is stale.
 
 Serial-equivalence contract: every forecast is bit-identical to what
 the plain serial service would produce on the same history, because
@@ -26,32 +25,14 @@ import threading
 import time
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import NULL_STAGE, Observability
+from ..obs import Observability
 from .reliability import FleetHealth
 from .service import Forecast, MaintenancePredictionService
 
-__all__ = ["EngineConfig", "FleetEngine"]
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Freshness knob of the fleet engine.
-
-    Attributes
-    ----------
-    auto_refresh:
-        Refresh stale old-vehicle models before every batch prediction
-        (the historical contract).  ``False`` leaves model freshness to
-        explicit :meth:`FleetEngine.refresh_models` calls or the
-        lifecycle controller's evaluation-gated promotions — batch
-        prediction then serves whatever champions are installed.
-    """
-
-    auto_refresh: bool = True
+__all__ = ["FleetEngine"]
 
 
 class FleetEngine:
@@ -62,25 +43,20 @@ class FleetEngine:
     service:
         An existing service to drive; when ``None`` a fresh one is
         built from ``service_kwargs`` (``t_v`` is then required).
-    config:
-        :class:`EngineConfig`; defaults to refreshing before every
-        batch prediction.
 
-    Everything runs on the calling thread: training is a handful of
-    small independent fits per completed maintenance cycle.  Faults are
-    injected below the engine, at the service's ``predictor_factory``
-    (see :func:`~repro.serving.faults.faulty_predictor_factory`), so
-    refresh training and prediction both exercise it.
+    Everything runs on the calling thread: a read can retrain only the
+    vehicles in its batch, when the service's ``_ensure_vehicle_model``
+    finds their model stale.  Faults are injected below the engine, at
+    the service's ``predictor_factory`` (see
+    :func:`~repro.serving.faults.faulty_predictor_factory`), so
+    training and prediction both exercise it.
     """
 
     def __init__(
         self,
         service: MaintenancePredictionService | None = None,
-        *,
-        config: EngineConfig | None = None,
         **service_kwargs,
     ):
-        self.config = config or EngineConfig()
         if service is None:
             service = MaintenancePredictionService(**service_kwargs)
         elif service_kwargs:
@@ -316,91 +292,6 @@ class FleetEngine:
         """The service's aggregated resilience report."""
         return self.service.health()
 
-    # -- training ----------------------------------------------------------
-
-    def _stale_old_vehicles(self) -> list[tuple[str, int]]:
-        service = self.service
-        stale = []
-        for vehicle_id, series in service.old_vehicles().items():
-            state = service._vehicles[vehicle_id]
-            if state.pinned_version is not None:
-                continue  # pinned vehicles serve their pin, never retrain
-            n_cycles = len(series.completed_cycles)
-            if state.model is None or (
-                service.retrain_on_cycle
-                and state.model_trained_cycles != n_cycles
-            ):
-                stale.append((vehicle_id, n_cycles))
-        return stale
-
-    def refresh_models(self) -> int:
-        """Retrain every stale old-vehicle model.
-
-        Each vehicle trains on exactly the dataset the serial
-        ``_ensure_vehicle_model`` would use, so the installed models are
-        identical; installation (and persistence) follows in sorted
-        vehicle order.  Returns the number retrained.
-
-        When the service is resilient (has a circuit breaker), one
-        vehicle's training failure no longer aborts the whole batch: the
-        failure is recorded on that vehicle's ``per-vehicle`` breaker
-        key, its model stays stale, and prediction steps down the
-        ladder.  Without a breaker the first failure raises (the
-        historical contract).
-        """
-        with self._track_inflight():
-            return self._refresh_models()
-
-    def _refresh_models(self) -> int:
-        service = self.service
-        breaker = service.breaker
-        stale = self._stale_old_vehicles()
-        if breaker is not None:
-            # Don't hammer a tripped training path: leave those models
-            # stale until prediction's allow() half-opens the circuit.
-            stale = [
-                (vehicle_id, n_cycles)
-                for vehicle_id, n_cycles in stale
-                if not breaker.is_open(f"{vehicle_id}:per-vehicle")
-            ]
-        if not stale:
-            return 0
-        predictors = []
-        obs = self.obs
-        with (
-            obs.stage("train", scope="fleet-refresh", tasks=len(stale))
-            if obs is not None
-            else NULL_STAGE
-        ):
-            for vehicle_id, _ in stale:
-                try:
-                    predictors.append(service._fit_vehicle_model(vehicle_id))
-                except Exception:
-                    if breaker is None:
-                        raise
-                    predictors.append(None)
-        installed = 0
-        for (vehicle_id, n_cycles), predictor in zip(stale, predictors):
-            if breaker is not None:
-                key = f"{vehicle_id}:per-vehicle"
-                if predictor is None:
-                    breaker.record_failure(key)
-                    continue
-                breaker.record_success(key)
-            service.install_model(
-                vehicle_id,
-                predictor,
-                trained_cycles=n_cycles,
-                version=service._persist(
-                    f"{vehicle_id}.per-vehicle",
-                    predictor,
-                    strategy="per-vehicle",
-                    trained_cycles=n_cycles,
-                ),
-            )
-            installed += 1
-        return installed
-
     # -- prediction --------------------------------------------------------
 
     def _ready_ids(self) -> list[str]:
@@ -414,16 +305,13 @@ class FleetEngine:
     def predict_all(self, *, skip_unready: bool = True) -> list[Forecast]:
         """Forecast the whole fleet from the latest ingested day.
 
-        Refreshes stale old-vehicle models, then makes one
-        :meth:`~repro.serving.service.MaintenancePredictionService.
-        predict_batch` call.  Forecasts come back sorted by vehicle id;
+        One :meth:`~repro.serving.service.MaintenancePredictionService.
+        predict_batch` call; forecasts come back sorted by vehicle id;
         vehicles with fewer than ``window + 1`` observed days are
         skipped when ``skip_unready`` (else the underlying
         ``ValueError`` surfaces).
         """
         with self._track_inflight():
-            if self.config.auto_refresh:
-                self._refresh_models()
             service = self.service
             ids = self._ready_ids() if skip_unready else service.vehicle_ids
             return service.predict_batch(ids)
@@ -447,8 +335,6 @@ class FleetEngine:
         records — forecasts are bit-identical with spans on or off.
         """
         with self._track_inflight():
-            if self.config.auto_refresh:
-                self._refresh_models()
             ids = list(vehicle_ids)
             if spans is None:
                 spans = [None] * len(ids)

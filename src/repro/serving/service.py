@@ -638,10 +638,10 @@ class MaintenancePredictionService:
     def _fit_vehicle_model(self, vehicle_id: str):
         """A fresh per-vehicle model fitted on the vehicle's history.
 
-        The one per-vehicle fit: lazy training, the engine's refresh
-        and lifecycle challengers all call it.  It installs and
-        persists nothing, and raises ``ValueError`` while the vehicle
-        has no labeled records.
+        The one per-vehicle fit: lazy training and lifecycle
+        challengers both call it.  It installs and persists nothing,
+        and raises ``ValueError`` while the vehicle has no labeled
+        records.
         """
         series = self.series(vehicle_id)
         dataset = build_relational_dataset(series.bundle, self.window)
@@ -656,7 +656,10 @@ class MaintenancePredictionService:
     def _ensure_vehicle_model(self, vehicle_id: str):
         """Per-vehicle model, retrained when a new cycle has completed.
 
-        A pinned vehicle (see :meth:`apply_lifecycle_event`) always
+        The one place that decides a per-vehicle model is stale: every
+        read that routes a vehicle to its own model asks here.  Besides
+        this retrain, only lifecycle events replace the model.  A
+        pinned vehicle (see :meth:`apply_lifecycle_event`) always
         serves its pinned store version — no retraining, however stale.
         With :attr:`retrain_on_cycle` off, an already-trained champion
         keeps serving across cycle boundaries (lifecycle promotion is
@@ -875,11 +878,11 @@ class MaintenancePredictionService:
     ) -> None:
         """Atomically swap a vehicle's serving model.
 
-        Every per-vehicle model — trained on predict, retrained by the
-        engine's refresh, promoted, rolled back or reloaded — is
-        installed here.  Metadata lands first and the ``model``
-        reference is assigned last — a concurrent :meth:`predict` sees
-        either the old champion or the fully-described new one, never a
+        Every per-vehicle model — trained or retrained on predict,
+        promoted, rolled back or reloaded — is installed here.
+        Metadata lands first and the ``model`` reference is assigned
+        last — a concurrent :meth:`predict` sees either the old
+        champion or the fully-described new one, never a
         half-installed model (zero serving interruption).
         """
         state = self._state(vehicle_id)

@@ -52,7 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .engine import EngineConfig, FleetEngine
+from .engine import FleetEngine
 from .reliability import FleetHealth
 from .service import Forecast
 
@@ -136,7 +136,6 @@ def merge_fleet_health(reports: list[FleetHealth]) -> FleetHealth:
 def build_shard_engine(
     shard_index: int,
     *,
-    config: EngineConfig | None = None,
     store_dir: str | None = None,
     resilient: bool = False,
     monitor: bool = True,
@@ -167,7 +166,7 @@ def build_shard_engine(
         partition = Path(store_dir) / f"shard-{shard_index:02d}"
         partition.mkdir(parents=True, exist_ok=True)
         kwargs["store"] = ModelStore(partition)
-    return FleetEngine(config=config, **kwargs)
+    return FleetEngine(**kwargs)
 
 
 # -- worker process ---------------------------------------------------------
@@ -250,7 +249,6 @@ def _shard_worker_main(conn, shard_index: int, factory, options: dict) -> None:
         "ingest_records": do_ingest_records,
         "predict_many": lambda ids: engine.predict_many(ids),
         "predict_all": lambda **kw: engine.predict_all(**kw),
-        "refresh_models": engine.refresh_models,
         "health": engine.health,
         "readiness": engine.readiness,
         "metrics_section": engine.metrics_section,
@@ -368,10 +366,6 @@ class ShardedFleetEngine:
         without pickling it.
     router:
         Routing override; defaults to ``ShardRouter(n_shards)``.
-    config:
-        :class:`EngineConfig` of every engine the default factory
-        builds.  Each shard engine trains on its worker process's one
-        engine thread, so N shards run at most N fits at once.
     lifecycle:
         Attach a per-shard lifecycle controller in every worker and
         expose the scatter-gather :attr:`lifecycle` admin facade.
@@ -390,7 +384,6 @@ class ShardedFleetEngine:
         engine_factory=None,
         *,
         router: ShardRouter | None = None,
-        config: EngineConfig | None = None,
         lifecycle: bool = False,
         durable_dir=None,
         store_dir=None,
@@ -415,7 +408,6 @@ class ShardedFleetEngine:
         if engine_factory is None:
             engine_factory = partial(
                 build_shard_engine,
-                config=config,
                 store_dir=None if store_dir is None else str(store_dir),
                 resilient=resilient,
                 monitor=monitor,
@@ -582,9 +574,6 @@ class ShardedFleetEngine:
         ]
         forecasts.sort(key=lambda forecast: forecast.vehicle_id)
         return forecasts
-
-    def refresh_models(self) -> int:
-        return sum(self.scatter("refresh_models"))
 
     # -- observability / health -------------------------------------------
 

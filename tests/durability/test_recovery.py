@@ -12,7 +12,6 @@ from repro.durability import (
     WriteAheadJournal,
 )
 from repro.serving import (
-    EngineConfig,
     FleetEngine,
     IngestionGuard,
     MaintenancePredictionService,
@@ -99,7 +98,6 @@ class TestRecoverReplay:
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
-            config=EngineConfig(),
         )
         ids = [f"v{i:02d}" for i in range(4)]
         engine.register_fleet(ids)

@@ -9,6 +9,7 @@ from repro.lifecycle.drill import (
     generate_lifecycle_ops,
     lifecycle_kill_drill,
 )
+from repro.serving import FleetEngine
 
 PROBE = np.array([[100_000.0]])
 
@@ -103,7 +104,9 @@ class TestJournaledPromotion:
         Checkpoints persist the promoted version number but not the
         in-memory model; the first touch after recovery must reinstall
         that exact stored artifact instead of retraining over the
-        promotion (which would silently mint a new version).
+        promotion (which would silently mint a new version).  Both read
+        paths are checked: a default-built engine's batch read first,
+        then the plain service read.
         """
         state = tmp_path / "state"
         engine, _, manager, promoted = run_durable_scenario(state)
@@ -112,14 +115,17 @@ class TestJournaledPromotion:
 
         engine2, _, manager2 = _recover_stack(state, with_store=True)
         service2 = engine2.service
+        reader = FleetEngine(service2)
         for vid, version in promoted.items():
             key = f"{vid}.per-vehicle"
             versions_before = service2.store.versions(key)
             vstate = service2._vehicles[vid]
             assert vstate.model_version == version  # from the checkpoint
+            (batched,) = reader.predict_many([vid])
             forecast = service2.predict(vid)
-            assert forecast.model_version == version
-            assert not forecast.degraded
+            for read in (batched, forecast):
+                assert read.model_version == version
+                assert not read.degraded
             # No new version was trained or persisted along the way.
             assert service2.store.versions(key) == versions_before
             stored = service2.store.load(key, version)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.learn.linear import LinearRegression
-from repro.serving.engine import EngineConfig, FleetEngine
+from repro.serving.engine import FleetEngine
 from repro.serving.faults import (
     FaultInjector,
     FaultyStore,
@@ -202,7 +202,6 @@ class TestDirtyIngestChaos:
         engine = FleetEngine(
             t_v=T_V, window=0, algorithm="LR", guard=IngestionGuard(),
             breaker=CircuitBreaker(),
-            config=EngineConfig(),
         )
         engine.register_fleet(["a", "b", "c"])
         engine.ingest_day({"a": 20_000.0, "b": float("nan"), "c": 21_000.0})
@@ -218,9 +217,7 @@ class TestTrainingFailureChaos:
             predictor_factory=faulty_predictor_factory(injector),
             **service_kwargs,
         )
-        return FleetEngine(
-            service, config=EngineConfig()
-        )
+        return FleetEngine(service)
 
     def test_all_trainers_failing_degrades_to_baseline(self):
         injector = FaultInjector(seed=0, rates={"train": 1.0})
@@ -255,33 +252,32 @@ class TestTrainingFailureChaos:
         )
         assert injector.injected["train"] > 0
 
-    def test_refresh_keeps_stale_champions_of_failing_vehicles(
+    def test_failed_retrains_keep_stale_champions_of_failing_vehicles(
         self, tmp_path, monkeypatch
     ):
-        """Train faults hitting some vehicles of one fleet refresh: those
-        keep their stale champion and record one breaker failure each;
-        the rest retrain and install in sorted vehicle order."""
-        injector = FaultInjector(seed=7, rates={"train": 0.0})
-        service = resilient_service(
-            store=ModelStore(tmp_path),
-            predictor_factory=faulty_predictor_factory(injector),
-        )
-        engine = FleetEngine(service, config=EngineConfig(auto_refresh=False))
+        """Retrain faults hitting some vehicles of one ``predict_all``:
+        those keep their stale champion, persist nothing and record one
+        ``per-vehicle`` breaker failure each; the rest retrain and
+        install in sorted vehicle order."""
+        service = resilient_service(store=ModelStore(tmp_path))
+        engine = FleetEngine(service)
         ids = [f"v{i}" for i in range(4)]
         engine.register_fleet(ids)
         for i, vehicle_id in enumerate(ids):
             engine.ingest_history(vehicle_id, [18_000.0 + 1_000.0 * i] * 40)
-        assert engine.refresh_models() == len(ids)
+        assert all(f.model_version == 1 for f in engine.predict_all())
         champions = {v: service._vehicles[v].model for v in ids}
         for _ in range(15):  # one more completed cycle: every model stale
             engine.ingest_day({v: 20_000.0 for v in ids})
 
-        # A rate-0 site draws nothing, so the refresh's fits (one per
-        # vehicle, sorted) consume a fresh twin's schedule in order.
-        twin = FaultInjector(seed=7, rates={"train": 0.5})
-        failing = {v for v in ids if twin.fires("train")}
-        assert 0 < len(failing) < len(ids)
-        injector.rates["train"] = 0.5
+        failing = {"v1", "v2"}
+        fit = service._fit_vehicle_model
+
+        def faulty_fit(vehicle_id):
+            if vehicle_id in failing:
+                raise InjectedFault(f"train {vehicle_id}")
+            return fit(vehicle_id)
+
         installed = []
         install = service.install_model
 
@@ -289,18 +285,27 @@ class TestTrainingFailureChaos:
             installed.append(vehicle_id)
             return install(vehicle_id, *args, **kwargs)
 
+        monkeypatch.setattr(service, "_fit_vehicle_model", faulty_fit)
         monkeypatch.setattr(service, "install_model", recording_install)
-        assert engine.refresh_models() == len(ids) - len(failing)
+        forecasts = {f.vehicle_id: f for f in engine.predict_all()}
         assert installed == sorted(set(ids) - failing)
         for vehicle_id in ids:
             state = service._vehicles[vehicle_id]
             failed = vehicle_id in failing
             assert (state.model is champions[vehicle_id]) == failed
             assert state.model_version == (1 if failed else 2)
+            assert service.store.versions(f"{vehicle_id}.per-vehicle") == (
+                [1] if failed else [1, 2]
+            )
             assert service.breaker.failure_count(
                 f"{vehicle_id}:per-vehicle"
             ) == int(failed)
-        assert injector.injected["train"] == len(failing)
+            forecast = forecasts[vehicle_id]
+            assert forecast.degraded == failed
+            if failed:
+                assert "per-vehicle" in forecast.fallback_reason
+            else:
+                assert forecast.model_version == 2
 
     def test_breaker_opens_and_skips_broken_rung(self):
         injector = FaultInjector(seed=0, rates={"train": 1.0})
@@ -331,6 +336,119 @@ class TestTrainingFailureChaos:
         recovered = service.predict("v")  # half-open trial succeeds
         assert not recovered.degraded
         assert recovered.strategy == "per-vehicle"
+
+
+class TestReadPathRetrainBreaker:
+    """A stale champion is retrained by the read that routes to it.
+
+    A sick training path must not be hammered on every read: after the
+    breaker opens for a vehicle's ``per-vehicle`` key, reads step down
+    the ladder without attempting the train, and the half-open trial
+    that the cooldown leads to retrains and recovers.
+    """
+
+    KEY = "v1:per-vehicle"
+
+    def build_stack(self, tmp_path, *, breaker=True):
+        """One old vehicle with a trained v1 champion and injectable
+        trains; the only vehicle, so its fallbacks train nothing."""
+        injector = FaultInjector(seed=0, rates={"train": 0.0})
+        service = MaintenancePredictionService(
+            t_v=T_V,
+            window=0,
+            algorithm="LR",
+            store=ModelStore(tmp_path / "models"),
+            breaker=(
+                CircuitBreaker(failure_threshold=2, cooldown=3)
+                if breaker
+                else None
+            ),
+            predictor_factory=faulty_predictor_factory(injector),
+        )
+        engine = FleetEngine(service)
+        service.register_vehicle("v1")
+        service.ingest_series("v1", np.full(40, 20_000.0))  # ~4 cycles: OLD
+        (forecast,) = engine.predict_all()  # trains and persists v1
+        assert forecast.strategy == "per-vehicle" and not forecast.degraded
+        # One more completed cycle: the champion goes stale.
+        for day in range(40, 52):
+            service.ingest("v1", 20_000.0, day=day)
+        return engine, service, injector
+
+    def trip_breaker(self, engine, service, injector):
+        """Open the breaker through two genuinely failed retrains."""
+        injector.rates["train"] = 1.0
+        for _ in range(2):
+            (forecast,) = engine.predict_all()
+            assert forecast.degraded
+        injector.rates["train"] = 0.0
+        assert service.breaker.is_open(self.KEY)
+
+    def test_failed_retrain_persists_nothing(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path)
+        state = service._vehicles["v1"]
+        champion = state.model
+        injector.rates["train"] = 1.0
+        (forecast,) = engine.predict_all()
+        assert forecast.degraded and forecast.strategy == "baseline"
+        assert service.breaker.failure_count(self.KEY) == 1
+        # The stale champion is untouched: same object, same version,
+        # nothing new persisted.
+        assert state.model is champion
+        assert state.model_version == 1
+        assert service.store.versions("v1.per-vehicle") == [1]
+
+    def test_without_breaker_first_failure_raises(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path, breaker=False)
+        injector.rates["train"] = 1.0
+        with pytest.raises(InjectedFault):
+            engine.predict_all()
+        assert service.store.versions("v1.per-vehicle") == [1]
+
+    def test_open_breaker_makes_no_train_attempt(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path)
+        self.trip_breaker(engine, service, injector)
+        calls_before = injector.calls["train"]
+        # Training would succeed now, but the open circuit means the
+        # read must not even try: it degrades down the ladder instead.
+        forecast = service.predict("v1")
+        assert injector.calls["train"] == calls_before
+        assert forecast.degraded
+        assert forecast.strategy != "per-vehicle"
+        assert "circuit open" in forecast.fallback_reason
+        assert service.breaker.is_open(self.KEY)
+        assert service._vehicles["v1"].model_version == 1
+
+    def test_half_open_read_retrains_to_v2(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path)
+        self.trip_breaker(engine, service, injector)
+        # Each read consumes one skip; after `cooldown` degraded reads
+        # the circuit half-opens and the next read retrains.
+        for _ in range(3):
+            assert service.predict("v1").degraded
+        assert not service.breaker.is_open(self.KEY)
+        (forecast,) = engine.predict_all()
+        assert not forecast.degraded
+        assert forecast.strategy == "per-vehicle"
+        assert forecast.model_version == 2
+        assert service._vehicles["v1"].model_version == 2
+        assert service.store.versions("v1.per-vehicle") == [1, 2]
+
+    def test_recovered_model_matches_unfaulted_training(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path)
+        self.trip_breaker(engine, service, injector)
+        for _ in range(3):
+            service.predict("v1")
+        recovered = engine.predict_all()
+
+        clean_engine, clean_service, _ = self.build_stack(tmp_path / "clean")
+        assert clean_engine.predict_all() == recovered
+
+        probe = np.array([[100_000.0]])
+        np.testing.assert_array_equal(
+            np.asarray(service._vehicles["v1"].model.predict(probe)),
+            np.asarray(clean_service._vehicles["v1"].model.predict(probe)),
+        )
 
 
 class TestStorageChaos:
@@ -405,9 +523,7 @@ class TestEndToEndChaos:
             retry=retry,
             predictor_factory=faulty_predictor_factory(injector),
         )
-        engine = FleetEngine(
-            service, config=EngineConfig()
-        )
+        engine = FleetEngine(service)
         engine.register_fleet(clean)
         feeds = {
             vehicle_id: list(corrupt_readings(injector, usage))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.categorize import VehicleCategory
 from repro.core.cycles import derive_series
-from repro.serving.engine import EngineConfig, FleetEngine
+from repro.serving.engine import FleetEngine
 from repro.serving.service import MaintenancePredictionService
 
 T_V = 200_000.0
@@ -41,6 +41,19 @@ def build_serial(usage_map, **kwargs) -> MaintenancePredictionService:
     return service
 
 
+def count_fits(service) -> list[str]:
+    """The ids passed to each per-vehicle fit of ``service`` from now on."""
+    fits = []
+    fit = service._fit_vehicle_model
+
+    def counted_fit(vehicle_id):
+        fits.append(vehicle_id)
+        return fit(vehicle_id)
+
+    service._fit_vehicle_model = counted_fit
+    return fits
+
+
 def serial_forecasts(service):
     return [
         service.predict(vehicle_id)
@@ -49,8 +62,8 @@ def serial_forecasts(service):
     ]
 
 
-def build_engine(usage_map, config, **kwargs) -> FleetEngine:
-    engine = FleetEngine(t_v=T_V, config=config, **kwargs)
+def build_engine(usage_map, **kwargs) -> FleetEngine:
+    engine = FleetEngine(t_v=T_V, **kwargs)
     engine.register_fleet(usage_map)
     for vehicle_id in sorted(usage_map):
         engine.ingest_history(vehicle_id, usage_map[vehicle_id])
@@ -67,9 +80,7 @@ class TestSerialEquivalence:
         reference = serial_forecasts(
             build_serial(usage_map, window=0, algorithm="LR")
         )
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="LR")
         for _ in range(calls):
             assert engine.predict_all() == reference
 
@@ -79,29 +90,26 @@ class TestSerialEquivalence:
         reference = serial_forecasts(
             build_serial(usage_map, window=3, algorithm="RF")
         )
-        engine = build_engine(
-            usage_map, EngineConfig(), window=3, algorithm="RF"
-        )
+        engine = build_engine(usage_map, window=3, algorithm="RF")
         for _ in range(calls):
             assert engine.predict_all() == reference
 
     def test_cold_predict_all_starts_no_threads(self):
-        """Refresh training runs on the calling thread: a cold
-        ``predict_all`` that fits every OLD vehicle's model leaves the
-        process's thread count where it was."""
+        """Training runs on the calling thread: a cold ``predict_all``
+        that fits every OLD vehicle's model leaves the process's thread
+        count where it was."""
         rng = np.random.default_rng(4)
         usage_map = {
             f"old{i}": rng.uniform(14_000, 26_000, size=40) for i in range(4)
         }
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="RF"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="RF")
+        fits = count_fits(engine.service)
         before = threading.active_count()
         forecasts = engine.predict_all()
         assert threading.active_count() == before
         assert {f.category for f in forecasts} == {VehicleCategory.OLD}
         assert len(forecasts) == 4
-        assert engine.refresh_models() == 0  # every model was fitted
+        assert sorted(fits) == sorted(usage_map)  # every model was fitted
 
     def test_repeated_ingest_predict_cycles_stay_identical(self):
         """Interleaved daily ingest + batch prediction matches serial."""
@@ -109,9 +117,7 @@ class TestSerialEquivalence:
         rng = np.random.default_rng(99)
         extra = {v: rng.uniform(12_000, 24_000, size=6) for v in usage_map}
         serial = build_serial(usage_map, window=0, algorithm="LR")
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="LR")
         for day in range(6):
             today = {v: extra[v][day] for v in usage_map}
             for vehicle_id in sorted(today):
@@ -145,7 +151,6 @@ class TestResilientCleanPathEquivalence:
         injector = FaultInjector(seed=seed)  # no rates: never fires
         engine = build_engine(
             usage_map,
-            EngineConfig(),
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
@@ -171,7 +176,6 @@ class TestResilientCleanPathEquivalence:
         serial = build_serial(usage_map, window=0, algorithm="LR")
         engine = build_engine(
             usage_map,
-            EngineConfig(),
             window=0,
             algorithm="LR",
             guard=IngestionGuard(),
@@ -188,39 +192,34 @@ class TestResilientCleanPathEquivalence:
 class TestEngineBehavior:
     def test_forecasts_sorted_by_vehicle_id(self):
         usage_map = random_fleet(6)
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="LR")
         forecasts = engine.predict_all()
         ids = [f.vehicle_id for f in forecasts]
         assert ids == sorted(ids)
 
     def test_skip_unready_vehicles(self):
         usage_map = {"v1": np.full(25, 20_000.0), "v2": np.zeros(0)}
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="LR")
         assert [f.vehicle_id for f in engine.predict_all()] == ["v1"]
         with pytest.raises(ValueError):
             engine.predict_all(skip_unready=False)
 
-    def test_refresh_models_counts_and_caches(self):
+    def test_warm_predict_all_fits_nothing(self):
         usage_map = random_fleet(7)
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
-        n_old = sum(1 for v in usage_map if v.startswith("old"))
-        assert engine.refresh_models() == n_old
-        assert engine.refresh_models() == 0  # all warm now
+        engine = build_engine(usage_map, window=0, algorithm="LR")
+        fits = count_fits(engine.service)
+        engine.predict_all()
+        assert fits == sorted(v for v in usage_map if v.startswith("old"))
+        fits.clear()
+        engine.predict_all()
+        assert fits == []  # all warm now
 
     def test_predict_many_subset(self):
         usage_map = random_fleet(8)
         serial = build_serial(usage_map, window=0, algorithm="LR")
         old_ids = sorted(v for v in usage_map if v.startswith("old"))
         reference = [serial.predict(v) for v in old_ids]
-        engine = build_engine(
-            usage_map, EngineConfig(), window=0, algorithm="LR"
-        )
+        engine = build_engine(usage_map, window=0, algorithm="LR")
         assert engine.predict_many(old_ids) == reference
 
     def test_rejects_service_kwargs_with_service(self):
@@ -268,7 +267,7 @@ class TestCycleStateCache:
 
 class TestStaleKernelRegression:
     def test_refresh_retrain_never_serves_a_stale_kernel(self):
-        """Refresh retrains ``b`` inside requests for ``a`` only; every
+        """Daily reads of ``a`` retrain and free ``a``'s models; every
         later forecast for ``b`` must come from ``b``'s current model.
         With kernels keyed on ``id(model)``, a retrained model reusing a
         freed model's address was served the old compiled kernel, which
@@ -279,7 +278,6 @@ class TestStaleKernelRegression:
         serial = build_serial(empty, window=0, algorithm="RF")
         engine = build_engine(
             empty,
-            EngineConfig(),
             window=0,
             algorithm="RF",
         )

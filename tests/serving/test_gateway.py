@@ -14,7 +14,6 @@ import pytest
 
 from repro.serving import (
     CircuitBreaker,
-    EngineConfig,
     FleetEngine,
     IngestionGuard,
     MaintenancePredictionService,

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.serving import (
     CircuitBreaker,
-    EngineConfig,
     FleetEngine,
     IngestionGuard,
     MaintenancePredictionService,
@@ -67,9 +66,7 @@ def build_degraded_engine() -> FleetEngine:
         breaker=CircuitBreaker(),
         predictor_factory=faulty_predictor_factory(injector),
     )
-    engine = FleetEngine(
-        service, config=EngineConfig()
-    )
+    engine = FleetEngine(service)
     usage = fleet_usage()
     engine.register_fleet(usage)
     for vehicle_id, series in usage.items():

@@ -50,10 +50,8 @@ def serial_forecasts(service):
     ]
 
 
-def build_engine(usage_map, config=None, **kwargs) -> FleetEngine:
-    engine = FleetEngine(
-        t_v=T_V, config=config, **kwargs
-    )
+def build_engine(usage_map, **kwargs) -> FleetEngine:
+    engine = FleetEngine(t_v=T_V, **kwargs)
     engine.register_fleet(usage_map)
     for vehicle_id in sorted(usage_map):
         engine.ingest_history(vehicle_id, usage_map[vehicle_id])

@@ -1,10 +1,10 @@
 """Routing reads the ingest-fed index instead of walking the fleet.
 
 A read with no ingest since the previous one re-categorizes nobody and
-searches no donors; one appended day costs one re-categorization; the
-engine's refresh scan visits only OLD vehicles; and Model_Uni fits once
-per distinct donor set, also when the breaker ladder asks for the pool
-without one of its own donors.
+searches no donors; one appended day costs one re-categorization; an
+engine read visits only the vehicles of its batch and trains none
+outside it; and Model_Uni fits once per distinct donor set, also when
+the breaker ladder asks for the pool without one of its own donors.
 """
 
 import pytest
@@ -86,7 +86,7 @@ class TestNoFleetScanOnRead:
         service.predict_batch(ids)
         assert counted == {"categorize_usage": 2, "most_similar": 1}
 
-    def test_engine_refresh_visits_only_old_vehicles(self):
+    def test_engine_read_visits_only_its_batch(self, monkeypatch):
         class Recording(dict):
             def __init__(self, *args):
                 super().__init__(*args)
@@ -105,13 +105,26 @@ class TestNoFleetScanOnRead:
         categories = mixed_fleet(service)
         engine.predict_many(list(categories))  # warm-up: trains the OLD
         service._vehicles = Recording(service._vehicles)
-        assert engine.predict_many([]) == []  # the per-batch refresh only
-        old = sorted(
-            vid
-            for vid, category in categories.items()
-            if category is VehicleCategory.OLD
-        )
-        assert service._vehicles.seen == old
+        assert engine.predict_many([]) == []
+        assert service._vehicles.seen == []
+        (forecast,) = engine.predict_many(["old0"])
+        assert forecast.strategy == "per-vehicle"
+        assert set(service._vehicles.seen) == {"old0"}
+
+        fits = []
+        fit = service._fit_vehicle_model
+
+        def counted_fit(vehicle_id):
+            fits.append(vehicle_id)
+            return fit(vehicle_id)
+
+        monkeypatch.setattr(service, "_fit_vehicle_model", counted_fit)
+        cycles = len(service.series("old1").completed_cycles)
+        for _ in range(10):  # 200 000 s more: old1 completes a cycle
+            service.ingest("old1", 20_000.0)
+        assert len(service.series("old1").completed_cycles) == cycles + 1
+        engine.predict_many(["old0"])
+        assert fits == []
 
 
 class TestUnifiedModelFitsOncePerDonorSet:
