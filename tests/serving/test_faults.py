@@ -410,14 +410,22 @@ class TestReadPathRetrainBreaker:
         self.trip_breaker(engine, service, injector)
         calls_before = injector.calls["train"]
         # Training would succeed now, but the open circuit means the
-        # read must not even try: it degrades down the ladder instead.
-        forecast = service.predict("v1")
+        # read must not even try.
+        (forecast,) = engine.predict_all()
         assert injector.calls["train"] == calls_before
+        assert forecast.degraded
+        assert service.breaker.is_open(self.KEY)
+        assert service._vehicles["v1"].model_version == 1
+        assert service.store.versions("v1.per-vehicle") == [1]
+
+    def test_prediction_degrades_while_open(self, tmp_path):
+        engine, service, injector = self.build_stack(tmp_path)
+        self.trip_breaker(engine, service, injector)
+        # The read steps down the ladder and says why.
+        forecast = service.predict("v1")
         assert forecast.degraded
         assert forecast.strategy != "per-vehicle"
         assert "circuit open" in forecast.fallback_reason
-        assert service.breaker.is_open(self.KEY)
-        assert service._vehicles["v1"].model_version == 1
 
     def test_half_open_read_retrains_to_v2(self, tmp_path):
         engine, service, injector = self.build_stack(tmp_path)
