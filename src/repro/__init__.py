@@ -21,6 +21,19 @@ Subpackages
     predictors, old-vehicle and cold-start methodologies, fleet planner.
 ``repro.experiments``
     One module per table/figure of the evaluation section.
+``repro.serving``
+    Deployment layer: the prediction service, batch fleet engine, HTTP
+    gateway, sharded pool, model store and resilience layer.
+``repro.obs``
+    Observability: one metrics registry, request tracing, profiling.
+``repro.durability``
+    Write-ahead journal, checkpoints and crash recovery.
+``repro.lifecycle``
+    Model lifecycle: drift-triggered shadow retraining,
+    champion/challenger promotion, versioned rollback.
+``repro.context``
+    Contextual enrichment (the paper's future work): site weather,
+    weather-derived features, fleet-movement inference.
 
 Quickstart
 ----------

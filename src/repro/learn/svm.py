@@ -15,12 +15,15 @@ with L-BFGS-B.  Two losses are supported:
   continuously differentiable and the default (fast, stable);
 * ``"epsilon_insensitive"`` — the classic L1 tube loss, smoothed near the
   kink by a small Huber transition so quasi-Newton steps stay well-behaved.
+
+``scipy.optimize`` is imported inside :meth:`LinearSVR.fit`, not at module
+level: LSVR is the only model family that needs an outside solver, so a
+process (a served fleet, say) that never fits an LSVR never loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .base import BaseEstimator, RegressorMixin
 from .linear import _BaseLinear
@@ -117,6 +120,8 @@ class LinearSVR(_BaseLinear):
             else:
                 grad = grad_w
             return value, grad
+
+        from scipy.optimize import minimize
 
         size = n_features + (1 if self.fit_intercept else 0)
         result = minimize(
