@@ -407,58 +407,50 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_lifecycle(args) -> int:
-    """Drive the lifecycle controller over a seeded drift scenario.
+    """Drive the lifecycle controller over the seeded drift scenario.
 
-    Replays the drill fleet in-process (warm champions, then inject
-    drift into the first ``--drifted`` vehicles), then either prints
-    the controller's admin ``status``, runs one sweep (``run-once``),
-    or follows ``--ticks`` further days with a sweep per day
-    (``watch``) — the same decision stream the gateway serves at
+    Replays the drill's op stream in-process (warm champions, then
+    inject drift into the first ``--drifted`` vehicles), then either
+    prints the controller's admin ``status``, runs one sweep
+    (``run-once``), or follows ``--ticks`` further days with a sweep per
+    day (``watch``) — the same decision stream the gateway serves at
     ``/v1/lifecycle``.
     """
     import json
     import tempfile
 
-    import numpy as np
+    from .lifecycle.drill import (
+        _build_stack,
+        apply_lifecycle_op,
+        generate_lifecycle_ops,
+    )
 
-    from .lifecycle.drill import _build_stack, _daily_usage
-
-    rng = np.random.default_rng(args.seed)
-    ids = [f"v{i:02d}" for i in range(args.vehicles)]
-    drifted = set(ids[: args.drifted])
+    ops = generate_lifecycle_ops(
+        args.vehicles,
+        args.seed,
+        warm_days=args.warm_days,
+        drift_days=args.drift_days,
+        sweep_days=args.ticks if args.mode == "watch" else 0,
+        n_drifted=args.drifted,
+        drift_factor=args.drift_factor,
+    )
     with tempfile.TemporaryDirectory(prefix="repro-lifecycle-") as tmp:
         engine, controller = _build_stack(store_dir=tmp)
-        engine.register_fleet(ids)
-        rates = dict(
-            zip(ids, rng.uniform(15_000.0, 21_000.0, size=len(ids)))
-        )
-        day = 0
-
-        def one_day(drifting: bool) -> None:
-            nonlocal day
-            engine.ingest_day(
-                {
-                    vid: _daily_usage(
-                        rng,
-                        rates[vid]
-                        * (
-                            args.drift_factor
-                            if drifting and vid in drifted
-                            else 1.0
-                        ),
-                    )
-                    for vid in ids
-                },
-                day=day,
-            )
-            if day >= 15:
-                engine.predict_all()
-            day += 1
-
-        for _ in range(args.warm_days):
-            one_day(False)
-        for _ in range(args.drift_days):
-            one_day(True)
+        # Only watch's stream has sweeps; their decisions print per day.
+        decisions = []
+        for op in ops:
+            out = apply_lifecycle_op(engine, controller, op)
+            if op["op"] == "day":
+                day = op["d"]
+            elif op["op"] == "sweep":
+                for entry in out:
+                    decisions.append({"day": day, **entry})
+                    if not args.json:
+                        print(
+                            f"day {day}: {entry['vehicle_id']} "
+                            f"{entry['outcome']} ({entry['trigger']}) — "
+                            f"{entry['detail']}"
+                        )
 
         if args.mode == "status":
             status = controller.status()
@@ -491,18 +483,6 @@ def _cmd_lifecycle(args) -> int:
                     )
             return 0
 
-        # watch: keep the drifted regime running, one sweep per day.
-        decisions = []
-        for tick in range(args.ticks):
-            one_day(True)
-            for entry in controller.run_once():
-                decisions.append({"day": day - 1, **entry})
-                if not args.json:
-                    print(
-                        f"day {day - 1}: {entry['vehicle_id']} "
-                        f"{entry['outcome']} ({entry['trigger']}) — "
-                        f"{entry['detail']}"
-                    )
         if args.json:
             print(
                 json.dumps(

@@ -24,10 +24,11 @@ write-ahead recipe:
   and only then reports ready — the gateway answers 503 until replay
   completes.  A pid lock file fences against double-start; a stale
   lock left by a killed process is detected and stolen.
-* :mod:`~repro.durability.drill` — the SIGKILL kill-recovery harness:
-  spawn a journaling worker subprocess, kill it mid-ingest, recover,
-  and assert the recovered state is bit-identical to an uninterrupted
-  run over the journaled records (``repro chaos --kill-after``).
+* :mod:`~repro.durability.drill` — the SIGKILL kill-recovery harness
+  every kill drill runs through: spawn a journaling worker subprocess
+  and kill it mid-run.  Its ingest drill then recovers and asserts the
+  recovered state is bit-identical to an uninterrupted run over the
+  journaled records (``repro chaos --kill-after``).
 
 Everything is stdlib + numpy; determinism mirrors the chaos harness
 (seeded inputs replay exactly, recovery is a pure function of the

@@ -1,25 +1,30 @@
-"""SIGKILL kill-recovery drill: the durability layer's acid test.
+"""SIGKILL kill-recovery drills: the durability layer's acid test.
 
-The drill proves the acknowledged-write guarantee end to end, with a
-*real* process death (no mocked crash):
+Every kill drill proves the acknowledged-write guarantee with a *real*
+process death (no mocked crash), through one harness,
+:func:`run_killed_worker`:
 
 1. write a deterministic op stream (``records.jsonl``) to a work dir;
 2. spawn a worker subprocess (``python -m repro.durability.drill``)
-   that recovers a service from the state dir, applies ops one by one,
-   and appends ``"<applied> <durable_seq>"`` to an acks file after
-   each — the drill's stand-in for a client-visible acknowledgement;
+   that builds the drill's stack, recovers it from the state dir,
+   applies ops one by one, and appends ``"<applied> <durable_seq>"``
+   to ``acks.log`` after each — the drill's stand-in for a
+   client-visible acknowledgement;
 3. poll the acks file until the worker has applied ``kill_after`` ops,
-   then ``SIGKILL`` it mid-ingest — no atexit, no flush, no cleanup;
-4. optionally tear the journal tail (the torn-write fault site);
-5. recover a fresh service from the same state dir and compare it to a
-   *reference* service built by applying the journaled op prefix to a
-   blank service in-process.
+   then ``SIGKILL`` it — no atexit, no flush, no cleanup.
 
-Equivalence is exact: every recovered forecast must be bit-identical
-to the reference's (``Forecast.to_dict`` equality) and the fleet
-health reports must match — and the journal's high-water mark must
-cover at least the last *durably acked* op (records past it may
-survive too; acknowledged ones must).
+A drill supplies only its stack (service, op applier,
+:class:`DurabilityConfig`) and its recovery checks.  This module's
+own drill, :func:`kill_recovery_drill`, kills an ingest-only worker,
+optionally tears the journal tail (the torn-write fault site), then
+compares a service recovered from the state dir to a *reference*
+built by applying the journaled op prefix to a blank service
+in-process.  Equivalence is exact: every recovered forecast must be
+bit-identical to the reference's (``Forecast.to_dict`` equality) and
+the fleet health reports must match — and the journal's high-water
+mark must cover at least the last *durably acked* op.  The lifecycle
+drill (:func:`repro.lifecycle.drill.lifecycle_kill_drill`) kills a
+worker mid-promotion through the same harness.
 
 Everything is deterministic given the seed except the kill point
 itself, which only moves *where* the prefix ends — never what the
@@ -29,10 +34,12 @@ recovered state looks like for that prefix.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import importlib
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import time
@@ -43,7 +50,12 @@ import numpy as np
 from .config import DurabilityConfig
 from .recovery import RecoveryManager
 
-__all__ = ["apply_op", "generate_ops", "kill_recovery_drill"]
+__all__ = [
+    "apply_op",
+    "generate_ops",
+    "kill_recovery_drill",
+    "run_killed_worker",
+]
 
 #: Drill fleet configuration shared by worker and reference service.
 _DRILL_T_V = 200_000.0
@@ -64,18 +76,21 @@ def _build_service(t_v: float = _DRILL_T_V):
 
 
 def apply_op(service, op: dict) -> None:
-    """Apply one drill op; swallows the per-op errors ops can raise."""
-    try:
-        if op["op"] == "register":
-            service.register_vehicle(op["v"])
-        elif op["op"] == "ingest":
-            service.ingest(op["v"], float(op["s"]), day=op.get("d"))
-        elif op["op"] == "series":
-            service.ingest_series(op["v"], op["u"], start_day=op.get("d0"))
-        else:
-            raise ValueError(f"unknown drill op {op['op']!r}")
-    except (ValueError, KeyError):
-        pass
+    """Apply one drill op to ``service``."""
+    if op["op"] == "register":
+        service.register_vehicle(op["v"])
+    elif op["op"] == "ingest":
+        service.ingest(op["v"], float(op["s"]), day=op.get("d"))
+    elif op["op"] == "series":
+        service.ingest_series(op["v"], op["u"], start_day=op.get("d0"))
+    else:
+        raise ValueError(f"unknown drill op {op['op']!r}")
+
+
+def _worker_stack(state_dir: Path, t_v: float):
+    """The ingest drill's worker stack (see :func:`run_killed_worker`)."""
+    service = _build_service(t_v)
+    return service, functools.partial(apply_op, service), _DRILL_CONFIG
 
 
 def generate_ops(n_vehicles: int, days: int, seed: int) -> list[dict]:
@@ -108,18 +123,19 @@ def generate_ops(n_vehicles: int, days: int, seed: int) -> list[dict]:
     return ops
 
 
-# -- worker subprocess ----------------------------------------------------
+# -- the harness: worker subprocess, spawn, kill -------------------------
 
 
 def _worker_main(argv: list[str] | None = None) -> int:
     """``python -m repro.durability.drill``: the killable worker."""
     parser = argparse.ArgumentParser(
-        description="kill-recovery drill worker (internal)"
+        description="kill-drill worker (internal)"
     )
+    parser.add_argument("--stack", required=True, help="module:function")
     parser.add_argument("--state", required=True)
     parser.add_argument("--records", required=True)
     parser.add_argument("--acks", required=True)
-    parser.add_argument("--t-v", type=float, default=_DRILL_T_V)
+    parser.add_argument("--t-v", type=float, required=True)
     parser.add_argument("--throttle-ms", type=float, default=0.0)
     args = parser.parse_args(argv)
 
@@ -128,22 +144,24 @@ def _worker_main(argv: list[str] | None = None) -> int:
         for line in Path(args.records).read_text("utf-8").splitlines()
         if line.strip()
     ]
-    service = _build_service(args.t_v)
-    manager = RecoveryManager(
-        args.state, service, config=_DRILL_CONFIG
-    )
+    module, _, name = args.stack.partition(":")
+    build = getattr(importlib.import_module(module), name)
+    service, apply, config = build(Path(args.state), args.t_v)
+    manager = RecoveryManager(args.state, service, config=config)
     manager.recover()
-    acks = open(args.acks, "a", encoding="utf-8")
-    for index, op in enumerate(ops, start=1):
-        apply_op(service, op)
-        manager.maybe_checkpoint()
-        # Ack = op applied + its journal position durable-or-not; the
-        # driver treats ops with seq <= durable_seq as acknowledged.
-        acks.write(f"{index} {manager.journal.durable_seq}\n")
-        acks.flush()
-        if args.throttle_ms > 0:
-            time.sleep(args.throttle_ms / 1000.0)
-    acks.close()
+    with open(args.acks, "a", encoding="utf-8") as acks:
+        for index, op in enumerate(ops, start=1):
+            # A rejected op journals (or not) exactly as it would in
+            # production; the worker acks it and moves on.
+            with contextlib.suppress(ValueError, KeyError):
+                apply(op)
+            manager.maybe_checkpoint()
+            # Ack = op applied + its journal position durable-or-not;
+            # the drill treats ops with seq <= durable_seq as acked.
+            acks.write(f"{index} {manager.journal.durable_seq}\n")
+            acks.flush()
+            if args.throttle_ms > 0:
+                time.sleep(args.throttle_ms / 1000.0)
     manager.close()
     return 0
 
@@ -163,6 +181,95 @@ def _read_acks(path: Path) -> tuple[int, int]:
             except ValueError:
                 continue
     return applied, durable
+
+
+def run_killed_worker(
+    work_dir,
+    ops: list[dict],
+    stack,
+    *,
+    kill_after: int,
+    t_v: float = _DRILL_T_V,
+    throttle_ms: float,
+    timeout_s: float,
+) -> tuple[int, bool, int, int]:
+    """Run ``ops`` in a worker and SIGKILL it after ``kill_after`` acks.
+
+    ``stack`` is a module-level function ``(state_dir, t_v) ->
+    (service, apply, config)`` that the worker imports by name: it
+    builds the service the worker recovers, the one-op applier, and the
+    :class:`DurabilityConfig` of its :class:`RecoveryManager`.  The
+    work dir is wiped and laid out as ``state/``, ``records.jsonl`` and
+    ``acks.log``; it is left behind for the drill's recovery checks
+    (and for the CI ``repro recover --dry-run`` smoke).
+
+    Returns ``(kill_after, killed, applied_acked, durable_acked)`` with
+    ``kill_after`` clamped to ``[1, len(ops)]``.  Raises
+    ``TimeoutError`` when the worker stalls before the kill point and
+    ``RuntimeError`` when it exits non-zero before it.
+    """
+    work_dir = Path(work_dir)
+    if work_dir.exists():
+        shutil.rmtree(work_dir)
+    work_dir.mkdir(parents=True)
+    kill_after = max(1, min(kill_after, len(ops)))
+    records_path = work_dir / "records.jsonl"
+    records_path.write_text(
+        "".join(json.dumps(op) + "\n" for op in ops), "utf-8"
+    )
+    acks_path = work_dir / "acks.log"
+    acks_path.touch()
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    worker = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.durability.drill",
+            "--stack",
+            f"{stack.__module__}:{stack.__qualname__}",
+            "--state",
+            str(work_dir / "state"),
+            "--records",
+            str(records_path),
+            "--acks",
+            str(acks_path),
+            "--t-v",
+            str(t_v),
+            "--throttle-ms",
+            str(throttle_ms),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + timeout_s
+    killed = False
+    applied_acked = 0
+    while time.monotonic() < deadline:
+        applied_acked, _ = _read_acks(acks_path)
+        if applied_acked >= kill_after:
+            worker.kill()  # SIGKILL: no atexit, no flush, no cleanup
+            killed = True
+            break
+        if worker.poll() is not None:
+            break  # finished every op before the kill point
+        time.sleep(0.005)
+    if not killed and worker.poll() is None:
+        worker.kill()
+        stderr = worker.communicate()[1]
+        raise TimeoutError(
+            f"drill worker stalled at {applied_acked}/{kill_after} acked "
+            f"ops within {timeout_s}s: {stderr.decode(errors='replace')}"
+        )
+    stderr = worker.communicate()[1]
+    if not killed and worker.returncode != 0:
+        raise RuntimeError(
+            f"drill worker failed before the kill point: "
+            f"{stderr.decode(errors='replace')}"
+        )
+    return (kill_after, killed, *_read_acks(acks_path))
 
 
 # -- the drill ------------------------------------------------------------
@@ -185,76 +292,19 @@ def kill_recovery_drill(
     ``kill_after`` is the op count after which the worker is SIGKILLed
     (default: halfway).  ``torn_tail`` additionally truncates the
     journal's final record before recovery, exercising the torn-write
-    repair path on top of the process death.  The work dir is wiped
-    and recreated; it is left behind for inspection (and for the CI
-    ``repro recover --dry-run`` smoke).
+    repair path on top of the process death.
     """
-    work_dir = Path(work_dir)
-    if work_dir.exists():
-        shutil.rmtree(work_dir)
-    state_dir = work_dir / "state"
-    work_dir.mkdir(parents=True)
-
     ops = generate_ops(n_vehicles, days, seed)
-    if kill_after is None:
-        kill_after = len(ops) // 2
-    kill_after = max(1, min(kill_after, len(ops)))
-    records_path = work_dir / "records.jsonl"
-    records_path.write_text(
-        "".join(json.dumps(op) + "\n" for op in ops), "utf-8"
+    kill_after, killed, applied_acked, durable_acked = run_killed_worker(
+        work_dir,
+        ops,
+        _worker_stack,
+        kill_after=len(ops) // 2 if kill_after is None else kill_after,
+        t_v=t_v,
+        throttle_ms=throttle_ms,
+        timeout_s=timeout_s,
     )
-    acks_path = work_dir / "acks.log"
-    acks_path.touch()
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    worker = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.durability.drill",
-            "--state",
-            str(state_dir),
-            "--records",
-            str(records_path),
-            "--acks",
-            str(acks_path),
-            "--t-v",
-            str(t_v),
-            "--throttle-ms",
-            str(throttle_ms),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
-
-    deadline = time.monotonic() + timeout_s
-    killed = False
-    applied_acked = durable_acked = 0
-    while time.monotonic() < deadline:
-        applied_acked, durable_acked = _read_acks(acks_path)
-        if applied_acked >= kill_after:
-            worker.kill()  # SIGKILL: no atexit, no flush, no cleanup
-            killed = True
-            break
-        if worker.poll() is not None:
-            break  # finished every op before the kill point
-        time.sleep(0.005)
-    if not killed and worker.poll() is None:
-        worker.kill()
-        stderr = worker.communicate()[1]
-        raise TimeoutError(
-            f"drill worker stalled at {applied_acked}/{kill_after} acked "
-            f"ops within {timeout_s}s: {stderr.decode(errors='replace')}"
-        )
-    stderr = worker.communicate()[1]
-    if not killed and worker.returncode != 0:
-        raise RuntimeError(
-            f"drill worker failed before the kill point: "
-            f"{stderr.decode(errors='replace')}"
-        )
-    applied_acked, durable_acked = _read_acks(acks_path)
+    state_dir = Path(work_dir) / "state"
 
     torn = 0
     if torn_tail:
@@ -273,12 +323,14 @@ def kill_recovery_drill(
     # tail can only eat a not-yet-acknowledged record).
     acked_survived = last_seq >= durable_acked
 
-    # Reference: the same op prefix applied in-process, no crash.  Ops
-    # map 1:1 onto journal seqs, so ops[:last_seq] is the journaled
-    # prefix the recovered service must reproduce exactly.
+    # Reference: the same op prefix applied in-process, no crash, with
+    # the worker's tolerance of rejected ops.  Ops map 1:1 onto journal
+    # seqs, so ops[:last_seq] is the journaled prefix the recovered
+    # service must reproduce exactly.
     reference = _build_service(t_v)
     for op in ops[:last_seq]:
-        apply_op(reference, op)
+        with contextlib.suppress(ValueError, KeyError):
+            apply_op(reference, op)
 
     ready = [
         vid

@@ -1,45 +1,46 @@
 """Lifecycle drills: drift-injection promotion and SIGKILL recovery.
 
-Two end-to-end proofs for the lifecycle subsystem:
+One drift scenario, :func:`generate_lifecycle_ops`, is the op stream
+behind every lifecycle drill, the ``repro lifecycle`` CLI and the
+lifecycle test fixtures; :func:`apply_lifecycle_op` applies one op.
+Timeline: warm champions on the base regime, frozen
+(``retrain_on_cycle=False``), then part of the fleet permanently
+shifts its usage rate — exactly the stale-model failure the Scania
+study documents — and finally lifecycle sweeps run once per day.
 
 :func:`drift_promotion_drill`
-    Seeds a fleet, warms per-vehicle champions, then injects concept
-    drift (scaled usage rates) into K vehicles while the champions stay
-    frozen (``retrain_on_cycle=False``) — exactly the stale-model
-    failure the Scania study documents.  Lifecycle sweeps must then:
-    fire debounced drift alerts for the drifted vehicles only, promote
-    evaluation-gated replacements for exactly those vehicles, and bring
-    the fleet's mean error back under the alert threshold — all with
-    zero degraded serves (the champion keeps serving until the atomic
-    swap).  Deterministic under the seed.
+    Replays the scenario in-process.  The sweeps must fire debounced
+    drift alerts for the drifted vehicles only, promote
+    evaluation-gated replacements for exactly those vehicles, and
+    bring the fleet's mean error back under the alert threshold — all
+    with zero degraded serves (the champion keeps serving until the
+    atomic swap).  Deterministic under the seed.
 
 :func:`lifecycle_kill_drill`
-    Runs the same scenario in a subprocess that journals every mutation
-    (including lifecycle promotions) through ``repro.durability``, then
-    SIGKILLs it mid-sweep.  Recovery from the state directory must
-    succeed, replay deterministically (two independent recoveries are
-    bit-identical), honour the acknowledged-write guarantee, and
-    reinstall every journaled promotion from the model store so the
-    recovered champion predicts identically to the stored artifact.
+    Replays the scenario in a worker that journals every mutation
+    (including lifecycle promotions) through ``repro.durability``, and
+    SIGKILLs it mid-sweep through the kill harness
+    (:func:`repro.durability.drill.run_killed_worker`).  Recovery from
+    the state directory must succeed, replay deterministically (two
+    independent recoveries are bit-identical), honour the
+    acknowledged-write guarantee, and reinstall every journaled
+    promotion from the model store so the recovered champion predicts
+    identically to the stored artifact.
 """
 
 from __future__ import annotations
 
-import argparse
+import contextlib
+import functools
 import hashlib
 import json
-import os
-import shutil
-import signal  # noqa: F401  (documents the drill's SIGKILL contract)
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "apply_lifecycle_op",
     "drift_promotion_drill",
     "generate_lifecycle_ops",
     "lifecycle_kill_drill",
@@ -47,6 +48,9 @@ __all__ = [
 
 #: Shared drill fleet configuration (small cycles -> fast maintenance).
 _DRILL_T_V = 200_000.0
+#: First day the scenario serves forecasts: every vehicle is OLD well
+#: before it (t_v / rate ~ 10 days).
+_PREDICT_FROM = 15
 
 
 def _build_stack(
@@ -105,6 +109,75 @@ def _daily_usage(rng, rate: float) -> float:
     return float(np.clip(rate + rng.normal(0.0, rate * 0.02), 1_000, 86_400))
 
 
+def generate_lifecycle_ops(
+    n_vehicles: int,
+    seed: int,
+    *,
+    warm_days: int = 70,
+    drift_days: int = 45,
+    sweep_days: int = 40,
+    n_drifted: int = 2,
+    drift_factor: float = 2.0,
+) -> list[dict]:
+    """The drift scenario as a deterministic op stream.
+
+    Registers ``lc00``…, then one ``day`` op per day carrying the whole
+    fleet's readings (one journal record).  From day 15 each day is
+    followed by a ``predict`` op serving the fleet (resolving residuals
+    into the monitor).  After ``warm_days`` the first ``n_drifted``
+    vehicles run at ``drift_factor`` × their base rate; after a further
+    ``drift_days`` each day ends with a ``sweep`` op (one lifecycle
+    sweep, which may journal promote records) for ``sweep_days`` days.
+    Journal seqs do *not* map 1:1 onto ops, so a kill drill checks
+    recovery for internal consistency, not against an op prefix.
+    """
+    rng = np.random.default_rng(seed)
+    ids = [f"lc{i:02d}" for i in range(n_vehicles)]
+    drifted = set(ids[:n_drifted])
+    rates = dict(zip(ids, rng.uniform(15_000.0, 21_000.0, size=n_vehicles)))
+    ops: list[dict] = [{"op": "register", "v": vid} for vid in ids]
+    for day in range(warm_days + drift_days + sweep_days):
+        drifting = day >= warm_days
+        ops.append(
+            {
+                "op": "day",
+                "d": day,
+                "u": {
+                    vid: _daily_usage(
+                        rng,
+                        rates[vid]
+                        * (drift_factor if vid in drifted and drifting else 1),
+                    )
+                    for vid in ids
+                },
+            }
+        )
+        if day >= _PREDICT_FROM:
+            ops.append({"op": "predict"})
+        if day >= warm_days + drift_days:
+            ops.append({"op": "sweep"})
+    return ops
+
+
+def apply_lifecycle_op(engine, controller, op: dict):
+    """Apply one scenario op.
+
+    Returns the fleet's forecasts for a ``predict`` op and the sweep's
+    decision entries for a ``sweep`` op (``None`` otherwise).
+    """
+    if op["op"] == "register":
+        return engine.service.register_vehicle(op["v"])
+    if op["op"] == "day":
+        return engine.ingest_day(
+            {vid: float(s) for vid, s in op["u"].items()}, day=op.get("d")
+        )
+    if op["op"] == "predict":
+        return engine.predict_all()
+    if op["op"] == "sweep":
+        return controller.run_once()
+    raise ValueError(f"unknown lifecycle drill op {op['op']!r}")
+
+
 def drift_promotion_drill(
     *,
     n_vehicles: int = 6,
@@ -120,102 +193,54 @@ def drift_promotion_drill(
 ) -> dict:
     """Run the drift-injection promotion drill; returns the check report.
 
-    Timeline: ``warm_days`` of the base regime (champions train once and
-    freeze), then the first ``n_drifted`` vehicles permanently shift to
-    ``drift_factor`` × their base rate.  After ``drift_days`` of silent
-    degradation the lifecycle controller starts sweeping once per day
-    for ``recovery_days`` while the drifted regime continues.
+    Replays :func:`generate_lifecycle_ops` with ``recovery_days`` sweep
+    days: ``warm_days`` of the base regime (champions train once and
+    freeze), then ``drift_days`` of silent degradation, then one
+    lifecycle sweep per day while the drifted regime continues.
     """
     if not 1 <= n_drifted <= n_vehicles:
         raise ValueError(
             f"n_drifted must be in [1, {n_vehicles}], got {n_drifted}."
         )
-    cleanup = None
-    if store_dir is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-lifecycle-")
-        store_dir = cleanup.name
-    try:
-        return _drift_promotion_drill(
-            n_vehicles=n_vehicles,
-            n_drifted=n_drifted,
-            seed=seed,
-            warm_days=warm_days,
-            drift_days=drift_days,
-            recovery_days=recovery_days,
-            drift_factor=drift_factor,
-            threshold_days=threshold_days,
-            t_v=t_v,
-            store_dir=store_dir,
-        )
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
-
-
-def _drift_promotion_drill(
-    *,
-    n_vehicles,
-    n_drifted,
-    seed,
-    warm_days,
-    drift_days,
-    recovery_days,
-    drift_factor,
-    threshold_days,
-    t_v,
-    store_dir,
-) -> dict:
-    rng = np.random.default_rng(seed)
-    ids = [f"lc{i:02d}" for i in range(n_vehicles)]
-    drifted = set(ids[:n_drifted])
-    rates = dict(zip(ids, rng.uniform(15_000.0, 21_000.0, size=n_vehicles)))
-
-    engine, controller = _build_stack(
-        store_dir=store_dir, t_v=t_v, threshold_days=threshold_days
+    ops = generate_lifecycle_ops(
+        n_vehicles,
+        seed,
+        warm_days=warm_days,
+        drift_days=drift_days,
+        sweep_days=recovery_days,
+        n_drifted=n_drifted,
+        drift_factor=drift_factor,
     )
-    service = engine.service
-    monitor = service.monitor
-    engine.register_fleet(ids)
+    ids = [op["v"] for op in ops if op["op"] == "register"]
+    drifted = set(ids[:n_drifted])
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-lifecycle-")
+        if store_dir is None
+        else contextlib.nullcontext(store_dir)
+    ) as store:
+        engine, controller = _build_stack(
+            store_dir=store, t_v=t_v, threshold_days=threshold_days
+        )
+        service = engine.service
+        monitor = service.monitor
 
-    # Forecast quality accounting: serving must never degrade or shrink.
-    degraded_serves = 0
-    short_batches = 0
-    peak_mae = {vid: 0.0 for vid in ids}
-    predict_from = 15  # all vehicles OLD well before this (t_v / rate ~ 10d)
-    last_forecasts = []
-
-    def one_day(day: int, *, drifting: bool, sweep: bool) -> None:
-        nonlocal degraded_serves, short_batches, last_forecasts
-        batch = {
-            vid: _daily_usage(
-                rng, rates[vid] * (drift_factor if drifting and vid in drifted else 1.0)
-            )
-            for vid in ids
-        }
-        engine.ingest_day(batch, day=day)
-        if day >= predict_from:
-            forecasts = engine.predict_all()
-            last_forecasts = forecasts
-            degraded_serves += sum(1 for f in forecasts if f.degraded)
-            if len(forecasts) != len(ids):
-                short_batches += 1
-        for vid in ids:
-            mae = monitor.mean_abs_error(vid)
-            if np.isfinite(mae):
-                peak_mae[vid] = max(peak_mae[vid], mae)
-        if sweep:
-            controller.run_once()
-
-    day = 0
-    for _ in range(warm_days):
-        one_day(day, drifting=False, sweep=False)
-        day += 1
-    for _ in range(drift_days):
-        one_day(day, drifting=True, sweep=False)
-        day += 1
-    for _ in range(recovery_days):
-        one_day(day, drifting=True, sweep=True)
-        day += 1
+        # Forecast quality accounting: serving must never degrade or
+        # shrink, and each day's error peak is read before its sweep.
+        degraded_serves = 0
+        short_batches = 0
+        peak_mae = {vid: 0.0 for vid in ids}
+        last_forecasts = []
+        for op in ops:
+            out = apply_lifecycle_op(engine, controller, op)
+            if op["op"] == "predict":
+                last_forecasts = out
+                degraded_serves += sum(1 for f in out if f.degraded)
+                short_batches += len(out) != len(ids)
+            elif op["op"] == "day":
+                for vid in ids:
+                    mae = monitor.mean_abs_error(vid)
+                    if np.isfinite(mae):
+                        peak_mae[vid] = max(peak_mae[vid], mae)
 
     final_mae = {
         vid: float(mae)
@@ -300,85 +325,15 @@ def _drift_promotion_drill(
         "digest": digest,
     }
 
-
 # -- SIGKILL drill ---------------------------------------------------------
 
 
-def generate_lifecycle_ops(
-    n_vehicles: int,
-    seed: int,
-    *,
-    warm_days: int = 70,
-    drift_days: int = 45,
-    sweep_days: int = 40,
-    n_drifted: int = 2,
-    drift_factor: float = 2.0,
-) -> list[dict]:
-    """Deterministic op stream replaying the drift scenario as ops.
+def _durability_config():
+    """The drill's journal/checkpoint knobs (imported lazily: serving
+    imports this package, and needs no durability layer)."""
+    from ..durability import DurabilityConfig
 
-    ``day`` ops carry the whole fleet's readings (one journal record),
-    ``predict`` ops serve the fleet (resolving residuals into the
-    monitor), and ``sweep`` ops run one lifecycle sweep — each sweep may
-    journal promote records.  The op stream is what the killable worker
-    executes; journal seqs do *not* map 1:1 onto ops here, so recovery
-    is checked for internal consistency, not against an op prefix.
-    """
-    rng = np.random.default_rng(seed)
-    ids = [f"lc{i:02d}" for i in range(n_vehicles)]
-    drifted = set(ids[:n_drifted])
-    rates = dict(zip(ids, rng.uniform(15_000.0, 21_000.0, size=n_vehicles)))
-    ops: list[dict] = [{"op": "register", "v": vid} for vid in ids]
-    day = 0
-    predict_from = 15
-
-    def day_op(drifting: bool) -> dict:
-        return {
-            "op": "day",
-            "d": day,
-            "u": {
-                vid: _daily_usage(
-                    rng,
-                    rates[vid]
-                    * (drift_factor if drifting and vid in drifted else 1.0),
-                )
-                for vid in ids
-            },
-        }
-
-    for _ in range(warm_days):
-        ops.append(day_op(False))
-        if day >= predict_from:
-            ops.append({"op": "predict"})
-        day += 1
-    for _ in range(drift_days):
-        ops.append(day_op(True))
-        ops.append({"op": "predict"})
-        day += 1
-    for _ in range(sweep_days):
-        ops.append(day_op(True))
-        ops.append({"op": "predict"})
-        ops.append({"op": "sweep"})
-        day += 1
-    return ops
-
-
-def apply_lifecycle_op(engine, controller, op: dict) -> None:
-    """Apply one drill op; swallows the per-op errors ops can raise."""
-    try:
-        if op["op"] == "register":
-            engine.service.register_vehicle(op["v"])
-        elif op["op"] == "day":
-            engine.ingest_day(
-                {vid: float(s) for vid, s in op["u"].items()}, day=op.get("d")
-            )
-        elif op["op"] == "predict":
-            engine.predict_all()
-        elif op["op"] == "sweep":
-            controller.run_once()
-        else:
-            raise ValueError(f"unknown lifecycle drill op {op['op']!r}")
-    except (ValueError, KeyError):
-        pass
+    return DurabilityConfig(fsync_every=4, checkpoint_every=48)
 
 
 def _recover_stack(state_dir: Path, *, with_store: bool):
@@ -389,74 +344,28 @@ def _recover_stack(state_dir: Path, *, with_store: bool):
     store (journaled promotions then reinstall the exact artifacts);
     without it, replay degrades to deterministic lazy retraining.
     """
-    from ..durability import DurabilityConfig, RecoveryManager
+    from ..durability import RecoveryManager
 
     engine, controller = _build_stack(
         store_dir=str(state_dir / "models") if with_store else None
     )
     manager = RecoveryManager(
-        state_dir,
-        engine.service,
-        config=DurabilityConfig(fsync_every=4, checkpoint_every=48),
+        state_dir, engine.service, config=_durability_config()
     )
     manager.recover()
     return engine, controller, manager
 
 
-def _worker_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.lifecycle.drill``: the killable worker."""
-    parser = argparse.ArgumentParser(
-        description="lifecycle kill-drill worker (internal)"
+def _worker_stack(state_dir: Path, t_v: float):
+    """The kill drill's worker stack (see ``run_killed_worker``)."""
+    engine, controller = _build_stack(
+        store_dir=str(state_dir / "models"), t_v=t_v
     )
-    parser.add_argument("--state", required=True)
-    parser.add_argument("--records", required=True)
-    parser.add_argument("--acks", required=True)
-    parser.add_argument("--throttle-ms", type=float, default=0.0)
-    args = parser.parse_args(argv)
-
-    from ..durability import DurabilityConfig, RecoveryManager
-
-    ops = [
-        json.loads(line)
-        for line in Path(args.records).read_text("utf-8").splitlines()
-        if line.strip()
-    ]
-    state_dir = Path(args.state)
-    engine, controller = _build_stack(store_dir=str(state_dir / "models"))
-    manager = RecoveryManager(
-        state_dir,
+    return (
         engine.service,
-        config=DurabilityConfig(fsync_every=4, checkpoint_every=48),
+        functools.partial(apply_lifecycle_op, engine, controller),
+        _durability_config(),
     )
-    manager.recover()
-    acks = open(args.acks, "a", encoding="utf-8")
-    for index, op in enumerate(ops, start=1):
-        apply_lifecycle_op(engine, controller, op)
-        manager.maybe_checkpoint()
-        acks.write(f"{index} {manager.journal.durable_seq}\n")
-        acks.flush()
-        if args.throttle_ms > 0:
-            time.sleep(args.throttle_ms / 1000.0)
-    acks.close()
-    manager.close()
-    return 0
-
-
-def _read_acks(path: Path) -> tuple[int, int]:
-    """(ops applied, durable seq at last ack) from the acks file."""
-    applied = durable = 0
-    try:
-        text = path.read_text("utf-8")
-    except OSError:
-        return 0, 0
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) == 2:
-            try:
-                applied, durable = int(parts[0]), int(parts[1])
-            except ValueError:
-                continue
-    return applied, durable
 
 
 def lifecycle_kill_drill(
@@ -478,72 +387,24 @@ def lifecycle_kill_drill(
     promotion whose artifact is still stored is reinstalled such that
     the in-memory champion predicts identically to the stored version.
     """
-    work_dir = Path(work_dir)
-    if work_dir.exists():
-        shutil.rmtree(work_dir)
-    state_dir = work_dir / "state"
-    work_dir.mkdir(parents=True)
+    from ..durability.drill import run_killed_worker
 
     ops = generate_lifecycle_ops(n_vehicles, seed)
-    first_sweep = next(
-        (i for i, op in enumerate(ops) if op["op"] == "sweep"), len(ops) // 2
-    )
     if kill_after is None:
+        first_sweep = next(
+            (i for i, op in enumerate(ops) if op["op"] == "sweep"),
+            len(ops) // 2,
+        )
         kill_after = (first_sweep + len(ops)) // 2
-    kill_after = max(1, min(kill_after, len(ops)))
-    records_path = work_dir / "records.jsonl"
-    records_path.write_text(
-        "".join(json.dumps(op) + "\n" for op in ops), "utf-8"
+    kill_after, killed, applied_acked, durable_acked = run_killed_worker(
+        work_dir,
+        ops,
+        _worker_stack,
+        kill_after=kill_after,
+        throttle_ms=throttle_ms,
+        timeout_s=timeout_s,
     )
-    acks_path = work_dir / "acks.log"
-    acks_path.touch()
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    worker = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.lifecycle.drill",
-            "--state",
-            str(state_dir),
-            "--records",
-            str(records_path),
-            "--acks",
-            str(acks_path),
-            "--throttle-ms",
-            str(throttle_ms),
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-    )
-    deadline = time.monotonic() + timeout_s
-    killed = False
-    applied_acked = durable_acked = 0
-    while time.monotonic() < deadline:
-        applied_acked, durable_acked = _read_acks(acks_path)
-        if applied_acked >= kill_after:
-            worker.kill()  # SIGKILL: no atexit, no flush, no cleanup
-            killed = True
-            break
-        if worker.poll() is not None:
-            break  # finished every op before the kill point
-        time.sleep(0.005)
-    if not killed and worker.poll() is None:
-        worker.kill()
-        stderr = worker.communicate()[1]
-        raise TimeoutError(
-            f"lifecycle drill worker stalled at {applied_acked}/{kill_after} "
-            f"acked ops within {timeout_s}s: {stderr.decode(errors='replace')}"
-        )
-    stderr = worker.communicate()[1]
-    if not killed and worker.returncode != 0:
-        raise RuntimeError(
-            f"lifecycle drill worker failed before the kill point: "
-            f"{stderr.decode(errors='replace')}"
-        )
-    applied_acked, durable_acked = _read_acks(acks_path)
+    state_dir = Path(work_dir) / "state"
 
     # Artifact-integrity pass first (reads state only, predicts nothing,
     # so the shared model store is not advanced by lazy retrains).
@@ -626,7 +487,3 @@ def lifecycle_kill_drill(
         ),
         "artifacts_checked": artifacts_checked,
     }
-
-
-if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    sys.exit(_worker_main())

@@ -117,8 +117,7 @@ class Observability:
 
     One instance is shared by a gateway, its engine and the service
     underneath, so every layer writes into the same registry and the
-    same trace store.  ``profile=False`` turns the per-stage profiling
-    hooks into no-ops while leaving metrics and tracing on.
+    same trace store.
     """
 
     def __init__(
@@ -126,13 +125,10 @@ class Observability:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
-        *,
-        profile: bool = True,
     ):
         self.registry = registry or MetricsRegistry()
         self.tracer = tracer or Tracer()
         self.events = events or EventLog()
-        self.profile = profile
         self.registry.register_collector(
             "tracing", self.tracer.stats, replace=True
         )
@@ -148,8 +144,6 @@ class Observability:
         batch size) are carried on the event-log record only, not as
         histogram labels.
         """
-        if not self.profile:
-            return NULL_STAGE
         return _StageTimer(self, name, fields)
 
     def stage_summaries(self) -> dict[str, dict]:

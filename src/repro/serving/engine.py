@@ -85,38 +85,15 @@ class FleetEngine:
         """Share one :class:`~repro.obs.Observability` across the stack.
 
         The service underneath gets the same instance (stage profiling,
-        ladder span events), and the engine contributes the ``fleet``,
-        ``drift`` and ``kernel`` sections of the consolidated metrics
-        snapshot via registry collectors.  Idempotent; the gateway calls
+        ladder span events), and the engine's :meth:`metrics_section`
+        sections (``fleet``, ``drift``, ``kernel``, plus ``durability``
+        and ``lifecycle`` once attached) join the consolidated metrics
+        snapshot as registry collectors.  Idempotent; the gateway calls
         this on construction, in-process users may call it directly.
         """
         self.obs = obs
         self.service.obs = obs
-        obs.registry.register_collector(
-            "fleet",
-            lambda: self.service.health().summary_counters(),
-            replace=True,
-        )
-        obs.registry.register_collector(
-            "drift",
-            lambda: (
-                {}
-                if self.service.monitor is None
-                else self.service.monitor.counters()
-            ),
-            replace=True,
-        )
-        obs.registry.register_collector(
-            "kernel", lambda: self.service.kernel_cache.stats(), replace=True
-        )
-        if self.durability is not None:
-            obs.registry.register_collector(
-                "durability", self.durability.status, replace=True
-            )
-        if self.lifecycle is not None:
-            obs.registry.register_collector(
-                "lifecycle", self.lifecycle.counters, replace=True
-            )
+        self._register_sections()
 
     def attach_durability(self, manager) -> None:
         """Wire a recovered :class:`~repro.durability.recovery.
@@ -128,10 +105,7 @@ class FleetEngine:
         the durability status.  Call after ``manager.recover()``.
         """
         self.durability = manager
-        if self.obs is not None:
-            self.obs.registry.register_collector(
-                "durability", manager.status, replace=True
-            )
+        self._register_sections()
 
     def attach_lifecycle(self, controller) -> None:
         """Wire a :class:`~repro.lifecycle.LifecycleController` in.
@@ -142,10 +116,32 @@ class FleetEngine:
         snapshot as the ``lifecycle`` section.
         """
         self.lifecycle = controller
+        self._register_sections()
+
+    def _section_producers(self) -> dict:
+        """Section name -> zero-argument producer of that section."""
+        producers = {
+            "fleet": lambda: self.service.health().summary_counters(),
+            "drift": lambda: (
+                {}
+                if self.service.monitor is None
+                else self.service.monitor.counters()
+            ),
+            "kernel": lambda: self.service.kernel_cache.stats(),
+        }
+        if self.durability is not None:
+            producers["durability"] = self.durability.status
+        if self.lifecycle is not None:
+            producers["lifecycle"] = self.lifecycle.counters
+        return producers
+
+    def _register_sections(self) -> None:
+        """(Re-)register every section producer as a registry collector."""
         if self.obs is not None:
-            self.obs.registry.register_collector(
-                "lifecycle", controller.counters, replace=True
-            )
+            for name, producer in self._section_producers().items():
+                self.obs.registry.register_collector(
+                    name, producer, replace=True
+                )
 
     @contextmanager
     def _track_inflight(self):
@@ -390,25 +386,15 @@ class FleetEngine:
     def metrics_section(self) -> dict:
         """The engine-owned sections of a metrics snapshot.
 
-        Exactly what the registry collectors registered by
-        :meth:`attach_observability` would produce — but callable
-        directly, so a sharded deployment can gather each shard's
-        sections on that shard's own thread/process instead of reading
-        another shard's state cross-thread at snapshot time.
+        Built by the same producers the registry collectors call, but
+        callable directly, so a sharded deployment can gather each
+        shard's sections on that shard's own thread/process instead of
+        reading another shard's state cross-thread at snapshot time.
         """
-        service = self.service
-        section = {
-            "fleet": service.health().summary_counters(),
-            "drift": (
-                {} if service.monitor is None else service.monitor.counters()
-            ),
-            "kernel": service.kernel_cache.stats(),
+        return {
+            name: producer()
+            for name, producer in self._section_producers().items()
         }
-        if self.durability is not None:
-            section["durability"] = self.durability.status()
-        if self.lifecycle is not None:
-            section["lifecycle"] = self.lifecycle.counters()
-        return section
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until no batch operation is in flight.

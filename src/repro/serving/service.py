@@ -1148,7 +1148,8 @@ class MaintenancePredictionService:
         """Step 3 for one vehicle: pending record, fallback accounting."""
         vehicle_id, strategy = plan.vehicle_id, plan.strategy
         state = self._state(vehicle_id)
-        state.pending.append((plan.today, plan.prediction, strategy))
+        if self.monitor is not None:  # the only reader of resolved forecasts
+            state.pending.append((plan.today, plan.prediction, strategy))
         reason = "; ".join(plan.reasons) or None
         if reason is not None:
             self._count_fallback(vehicle_id, strategy)
@@ -1343,6 +1344,7 @@ class MaintenancePredictionService:
                 pending=[
                     (int(day), float(predicted), str(strategy))
                     for day, predicted, strategy in snap.get("pending", [])
+                    if self.monitor is not None
                 ],
                 resolved_through_cycle=int(
                     snap.get("resolved_through_cycle", 0)

@@ -1,16 +1,19 @@
 """Shared scenario builder for the lifecycle suite.
 
-``drifted_stack`` replays the drill regime in miniature: warm a small
-fleet until per-vehicle champions are trained and frozen
+``drifted_stack`` replays the drill's drift scenario in miniature: warm
+a small fleet until per-vehicle champions are trained and frozen
 (``retrain_on_cycle=False``), then shift part of the fleet's usage rate
 so the stale champions degrade — the state every lifecycle test starts
 from.
 """
 
-import numpy as np
 import pytest
 
-from repro.lifecycle.drill import _build_stack, _daily_usage
+from repro.lifecycle.drill import (
+    _build_stack,
+    apply_lifecycle_op,
+    generate_lifecycle_ops,
+)
 
 
 def run_scenario(
@@ -24,35 +27,18 @@ def run_scenario(
     drift_factor=2.0,
 ):
     engine, controller = _build_stack(store_dir=str(store_dir))
-    rng = np.random.default_rng(seed)
-    ids = [f"lc{i:02d}" for i in range(n_vehicles)]
-    drifted = set(ids[:n_drifted])
-    engine.register_fleet(ids)
-    rates = dict(zip(ids, rng.uniform(15_000.0, 21_000.0, size=n_vehicles)))
-    day = 0
-
-    def one_day(drifting: bool) -> None:
-        nonlocal day
-        engine.ingest_day(
-            {
-                vid: _daily_usage(
-                    rng,
-                    rates[vid]
-                    * (drift_factor if drifting and vid in drifted else 1.0),
-                )
-                for vid in ids
-            },
-            day=day,
-        )
-        if day >= 15:
-            engine.predict_all()
-        day += 1
-
-    for _ in range(warm_days):
-        one_day(False)
-    for _ in range(drift_days):
-        one_day(True)
-    return engine, controller, sorted(drifted)
+    ops = generate_lifecycle_ops(
+        n_vehicles,
+        seed,
+        warm_days=warm_days,
+        drift_days=drift_days,
+        sweep_days=0,
+        n_drifted=n_drifted,
+        drift_factor=drift_factor,
+    )
+    for op in ops:
+        apply_lifecycle_op(engine, controller, op)
+    return engine, controller, engine.service.vehicle_ids[:n_drifted]
 
 
 @pytest.fixture

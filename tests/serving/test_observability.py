@@ -449,3 +449,24 @@ class TestGoldenSchemas:
             if json.loads(line)["kind"] == "stage"
         ]
         assert any(r["stage"] == "predict" for r in stage_records)
+
+
+class TestEngineSections:
+    def test_registry_collectors_match_metrics_section(self):
+        """The snapshot's engine sections and ``metrics_section()`` come
+        from one producer, including sections attached after obs."""
+        from types import SimpleNamespace
+
+        from repro.obs import Observability
+
+        engine = build_engine(monitor=DriftMonitor())
+        obs = Observability()
+        engine.attach_observability(obs)
+        engine.attach_durability(SimpleNamespace(status=lambda: {"ok": 1}))
+        engine.attach_lifecycle(SimpleNamespace(counters=lambda: {"n": 2}))
+        section = engine.metrics_section()
+        assert list(section) == [
+            "fleet", "drift", "kernel", "durability", "lifecycle",
+        ]
+        snapshot = obs.registry.snapshot()
+        assert {name: snapshot[name] for name in section} == section

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.categorize import VehicleCategory
+from repro.serving.engine import FleetEngine
 from repro.serving.monitoring import DriftMonitor
 from repro.serving.persistence import ModelStore
 from repro.serving.service import MaintenancePredictionService
@@ -173,6 +174,29 @@ class TestFeedbackLoop:
             service.ingest("v01", 20_000.0)
         service.ingest_series("v01", [20_000.0] * 12)
         assert monitor.alerts() == []
+
+    def test_unmonitored_service_keeps_no_pending_forecasts(self):
+        """Only the monitor scores pending forecasts: without one, every
+        forecast served must not stay in memory and in every checkpoint."""
+        engine = FleetEngine(steady_service())
+        ids = ["v01", "v02", "v03"]
+        engine.register_fleet(ids)
+        for day in range(25):
+            engine.ingest_day({vid: 20_000.0 for vid in ids}, day=day)
+        for _ in range(50):
+            engine.predict_all()
+        vehicles = engine.service.state_dict()["vehicles"]
+        assert [vehicles[vid]["pending"] for vid in ids] == [[], [], []]
+
+    def test_restore_into_unmonitored_service_drops_pending(self):
+        service = steady_service()
+        service.register_vehicle("v01")
+        service.ingest_series("v01", [20_000.0] * 25)
+        snapshot = service.state_dict()
+        snapshot["vehicles"]["v01"]["pending"] = [[24, 5.0, "per-vehicle"]]
+        restored = steady_service()
+        restored.load_state_dict(snapshot)
+        assert restored.state_dict()["vehicles"]["v01"]["pending"] == []
 
 
 class TestIngestSeriesAtomicity:

@@ -137,6 +137,33 @@ class TestChaos:
         assert "vehicles" in payload["health"]
 
 
+class TestLifecycle:
+    @pytest.mark.parametrize(
+        "argv",
+        [["status"], ["run-once"], ["watch", "--ticks", "3"]],
+        ids=["status", "run-once", "watch"],
+    )
+    def test_json_output_parses_and_is_deterministic(self, argv, capsys):
+        import json
+
+        outputs = []
+        for _ in range(2):
+            assert main(["lifecycle", *argv, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        json.loads(outputs[0])
+        assert outputs[0] == outputs[1]
+
+    def test_run_once_promotes_the_drifted_vehicles(self, capsys):
+        import json
+
+        assert main(["lifecycle", "run-once", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        promoted = sorted(
+            e["vehicle_id"] for e in entries if e["outcome"] == "promoted"
+        )
+        assert promoted == ["lc00", "lc01"]  # the default --drifted 2
+
+
 class TestMaxWorkersValidation:
     @pytest.mark.parametrize("bad", ["0", "-2"])
     def test_evaluate_rejects_non_positive(self, bad, capsys):
