@@ -175,10 +175,10 @@ def champion_row_identity(usage) -> tuple[int, int]:
         service.ingest_series(vehicle_id, usage[vehicle_id])
     for vehicle_id in sorted(usage):
         service.predict(vehicle_id)  # trains whatever the ladder needs
-        model = service._vehicles[vehicle_id].model
+        model = service.champion(vehicle_id).predictor
         if model is None:  # cold start: the full-pool Model_Uni, if fitted
-            pool = service._fleet_index().donor_ids
-            model = service._unified_models.get(pool)
+            entry = service._models.get(service._fleet_index().uni_scope)
+            model = None if entry is None else entry.predictor
         if model is None:
             continue
         checked += 1

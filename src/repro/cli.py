@@ -425,15 +425,19 @@ def _cmd_lifecycle(args) -> int:
         generate_lifecycle_ops,
     )
 
-    ops = generate_lifecycle_ops(
-        args.vehicles,
-        args.seed,
-        warm_days=args.warm_days,
-        drift_days=args.drift_days,
-        sweep_days=args.ticks if args.mode == "watch" else 0,
-        n_drifted=args.drifted,
-        drift_factor=args.drift_factor,
-    )
+    try:
+        ops = generate_lifecycle_ops(
+            args.vehicles,
+            args.seed,
+            warm_days=args.warm_days,
+            drift_days=args.drift_days,
+            sweep_days=args.ticks if args.mode == "watch" else 0,
+            n_drifted=args.drifted,
+            drift_factor=args.drift_factor,
+        )
+    except ValueError as exc:
+        print(f"error: --drifted: {exc}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="repro-lifecycle-") as tmp:
         engine, controller = _build_stack(store_dir=tmp)
         # Only watch's stream has sweeps; their decisions print per day.

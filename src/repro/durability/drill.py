@@ -17,9 +17,10 @@ A drill supplies only its stack (service, op applier,
 :class:`DurabilityConfig`) and its recovery checks.  This module's
 own drill, :func:`kill_recovery_drill`, kills an ingest-only worker,
 optionally tears the journal tail (the torn-write fault site), then
-compares a service recovered from the state dir to a *reference*
-built by applying the journaled op prefix to a blank service
-in-process.  Equivalence is exact: every recovered forecast must be
+compares a service recovered from a copy of the state dir (the
+original stays as killed, for ``repro recover --dry-run``) to a
+*reference* built by applying the journaled op prefix to a blank
+service in-process.  Equivalence is exact: every recovered forecast must be
 bit-identical to the reference's (``Forecast.to_dict`` equality) and
 the fleet health reports must match — and the journal's high-water
 mark must cover at least the last *durably acked* op.  The lifecycle
@@ -292,7 +293,9 @@ def kill_recovery_drill(
     ``kill_after`` is the op count after which the worker is SIGKILLed
     (default: halfway).  ``torn_tail`` additionally truncates the
     journal's final record before recovery, exercising the torn-write
-    repair path on top of the process death.
+    repair path on top of the process death.  Recovery runs on a copy,
+    ``work_dir/recovered``; ``work_dir/state`` is left exactly as the
+    killed worker (and the tear) left it.
     """
     ops = generate_ops(n_vehicles, days, seed)
     kill_after, killed, applied_acked, durable_acked = run_killed_worker(
@@ -312,9 +315,12 @@ def kill_recovery_drill(
 
         torn = tear_journal_tail(state_dir / "journal")
 
-    # Recover a fresh service from whatever the dead worker left.
+    # Recover a copy of what the dead worker left: ``state/`` stays as
+    # killed, for ``repro recover --dry-run`` to inspect.
+    copy_dir = Path(work_dir) / "recovered"
+    shutil.copytree(state_dir, copy_dir)
     recovered = _build_service(t_v)
-    manager = RecoveryManager(state_dir, recovered, config=_DRILL_CONFIG)
+    manager = RecoveryManager(copy_dir, recovered, config=_DRILL_CONFIG)
     report = manager.recover()
     last_seq = report.last_seq
 

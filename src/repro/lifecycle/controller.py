@@ -133,12 +133,11 @@ class LifecycleController:
             for vid, series in old.items():
                 if vid in due:
                     continue
-                state = service._vehicles[vid]
-                if state.model is None or state.pinned_version is not None:
+                champion = service.champion(vid)
+                pinned = service._vehicles[vid].pinned_version
+                if champion.predictor is None or pinned is not None:
                     continue
-                behind = (
-                    len(series.completed_cycles) - state.model_trained_cycles
-                )
+                behind = len(series.completed_cycles) - champion.key
                 if behind >= self.staleness_cycles:
                     due[vid] = (
                         f"stale: champion {behind} completed cycles behind"
@@ -173,9 +172,8 @@ class LifecycleController:
                 vehicle_id, "skipped", reason, detail="training breaker open"
             )
         with tracing.span("lifecycle.evaluate", vehicle_id=vehicle_id):
-            try:
-                champion = service._ensure_vehicle_model(vehicle_id)
-            except Exception as exc:
+            champion = service.champion(vehicle_id).predictor
+            if champion is None:
                 if service.breaker is not None:
                     service.breaker.record_failure(key)
                 self._train_failures += 1
@@ -183,7 +181,7 @@ class LifecycleController:
                     vehicle_id,
                     "failed",
                     reason,
-                    detail=f"champion unavailable: {type(exc).__name__}: {exc}",
+                    detail="champion unavailable: none installed yet",
                 )
             challenger, error = self._train_challenger(vehicle_id)
             if error is not None:
@@ -239,7 +237,6 @@ class LifecycleController:
     ) -> int | None:
         """Persist, journal, atomically install, prune, reset residuals."""
         service = self.engine.service
-        state = service._vehicles[vehicle_id]
         n_cycles = len(service.series(vehicle_id).completed_cycles)
         key = f"{vehicle_id}.per-vehicle"
         report = decision.report
@@ -261,15 +258,9 @@ class LifecycleController:
             predictor=challenger,
         )
         if service.store is not None and version is not None:
-            try:
+            try:  # the promotion cleared any pin: keep the new champion
                 service.store.prune(
-                    key,
-                    keep_last=self.retention,
-                    keep={
-                        v
-                        for v in (state.model_version, state.pinned_version)
-                        if v is not None
-                    },
+                    key, keep_last=self.retention, keep={version}
                 )
             except OSError:
                 pass  # retention is best-effort; never fail a promotion
@@ -328,12 +319,12 @@ class LifecycleController:
         monitor = service.monitor
         vehicles = {}
         for vid in service.vehicle_ids:
-            state = service._vehicles[vid]
+            champion = service.champion(vid)
             vehicles[vid] = {
                 "category": service.category(vid).name,
-                "model_version": state.model_version,
-                "pinned_version": state.pinned_version,
-                "trained_cycles": state.model_trained_cycles,
+                "model_version": champion.version,
+                "pinned_version": service._vehicles[vid].pinned_version,
+                "trained_cycles": champion.key,
                 "mean_abs_error": (
                     None
                     if monitor is None

@@ -130,7 +130,12 @@ def generate_lifecycle_ops(
     sweep, which may journal promote records) for ``sweep_days`` days.
     Journal seqs do *not* map 1:1 onto ops, so a kill drill checks
     recovery for internal consistency, not against an op prefix.
+    Raises ``ValueError`` unless ``0 <= n_drifted <= n_vehicles``.
     """
+    if not 0 <= n_drifted <= n_vehicles:
+        raise ValueError(
+            f"n_drifted must be in [0, {n_vehicles}], got {n_drifted}."
+        )
     rng = np.random.default_rng(seed)
     ids = [f"lc{i:02d}" for i in range(n_vehicles)]
     drifted = set(ids[:n_drifted])
@@ -198,10 +203,6 @@ def drift_promotion_drill(
     freeze), then ``drift_days`` of silent degradation, then one
     lifecycle sweep per day while the drifted regime continues.
     """
-    if not 1 <= n_drifted <= n_vehicles:
-        raise ValueError(
-            f"n_drifted must be in [1, {n_vehicles}], got {n_drifted}."
-        )
     ops = generate_lifecycle_ops(
         n_vehicles,
         seed,
@@ -258,7 +259,7 @@ def drift_promotion_drill(
         if e["trigger"].startswith("drift")
     }
     candidates_seen = {e["vehicle_id"] for e in controller.history}
-    drifted_peak = min(peak_mae[vid] for vid in drifted)
+    drifted_peak = min((peak_mae[vid] for vid in drifted), default=0.0)
     drifted_final = max(
         (final_mae.get(vid, 0.0) for vid in drifted), default=float("inf")
     )
@@ -406,8 +407,9 @@ def lifecycle_kill_drill(
     )
     state_dir = Path(work_dir) / "state"
 
-    # Artifact-integrity pass first (reads state only, predicts nothing,
-    # so the shared model store is not advanced by lazy retrains).
+    # Artifact-integrity pass first: reads of promoted vehicles reload
+    # stored versions (frozen champions never retrain), so the shared
+    # model store is not advanced.
     engine, _, manager = _recover_stack(state_dir, with_store=True)
     service = engine.service
     last_seq = manager.journal.last_seq
@@ -426,17 +428,17 @@ def lifecycle_kill_drill(
         if version not in service.store.versions(key):
             continue  # pruned after a later promotion: consistent
         artifacts_checked += 1
-        state = service._vehicles[vid]
         # A promotion journaled before the last checkpoint is restored
-        # as a version number with a lazy model; resolving it must
+        # as a version number with a lazy model; the first read must
         # reload the exact stored artifact, not retrain.
-        service._ensure_vehicle_model(vid)
+        served = service.predict(vid).model_version
+        champion = service.champion(vid)
         stored = service.store.load(key, version)
-        if state.model_version != version or state.model is None:
+        if served != version or champion.version != version:
             artifacts_ok = False
             continue
         if not np.array_equal(
-            np.asarray(state.model.predict(probe)),
+            np.asarray(champion.predictor.predict(probe)),
             np.asarray(stored.predictor.predict(probe)),
         ):
             artifacts_ok = False

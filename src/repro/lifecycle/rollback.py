@@ -28,13 +28,13 @@ class RollbackManager:
         self.unpins = 0
         self.quarantines = 0
 
-    def _store_and_state(self, vehicle_id: str):
+    def _store_and_champion(self, vehicle_id: str):
         service = self.engine.service
         if service.store is None:
             raise ValueError(
                 "Rollback needs a ModelStore; this service has none."
             )
-        return service, service.store, service._state(vehicle_id)
+        return service, service.store, service.champion(vehicle_id)
 
     def rollback(
         self,
@@ -52,9 +52,9 @@ class RollbackManager:
         the pin.  ``quarantine_current`` parks the replaced version in
         the store's quarantine directory.
         """
-        service, store, state = self._store_and_state(vehicle_id)
+        service, store, champion = self._store_and_champion(vehicle_id)
         key = f"{vehicle_id}.per-vehicle"
-        current = state.model_version
+        current = champion.version
         if version is None:
             candidates = [
                 v
@@ -90,7 +90,7 @@ class RollbackManager:
         self, vehicle_id: str, version: int, *, reason: str | None = None
     ) -> dict:
         """Pin a vehicle to one stored version; no retraining while pinned."""
-        service, store, _ = self._store_and_state(vehicle_id)
+        service, store, _ = self._store_and_champion(vehicle_id)
         artifact = store.load(f"{vehicle_id}.per-vehicle", version)
         event = service.apply_lifecycle_event(
             "pin",

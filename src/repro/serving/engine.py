@@ -7,9 +7,10 @@ make one
 :meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
 call, which stacks vehicles sharing a model into one kernel call, and
 return forecasts sorted by vehicle id.  A read touches only the
-vehicles it asks for: a stale per-vehicle model is retrained by the
-service's ``_ensure_vehicle_model`` when that vehicle is routed, the
-one place that decides a model is stale.
+vehicles it asks for: routing looks models up in the service's one
+model table, and a per-vehicle row whose trained-cycle key is behind
+the vehicle's completed cycles is retrained when that vehicle is
+routed — the one place that decides a model is stale.
 
 Serial-equivalence contract: every forecast is bit-identical to what
 the plain serial service would produce on the same history, because
@@ -45,8 +46,7 @@ class FleetEngine:
         built from ``service_kwargs`` (``t_v`` is then required).
 
     Everything runs on the calling thread: a read can retrain only the
-    vehicles in its batch, when the service's ``_ensure_vehicle_model``
-    finds their model stale.  Faults are injected below the engine, at
+    vehicles in its batch, when their model-table row is stale.  Faults are injected below the engine, at
     the service's ``predictor_factory`` (see
     :func:`~repro.serving.faults.faulty_predictor_factory`), so
     training and prediction both exercise it.

@@ -18,11 +18,13 @@ and the ground truth becomes known.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,15 +172,34 @@ class _UsageBuffer:
         return view
 
 
+class ModelEntry(NamedTuple):
+    """One model-table row: a predictor, its one freshness ``key``
+    (trained completed cycles for ``per-vehicle``, the donor id for
+    ``sim``, the donor id set for ``uni``) and its store ``version``
+    (per-vehicle only; cold-start models are never stored).  A row
+    restored from a checkpoint has a version and no predictor until the
+    first read reloads it."""
+
+    predictor: object | None
+    key: object
+    version: int | None = None
+
+
+_NO_CHAMPION = ModelEntry(None, -1)  # no per-vehicle row installed
+
+
+def _uni_scope(donor_ids: frozenset[str]) -> str:
+    """Model-table scope of the Model_Uni fitted on ``donor_ids``."""
+    joined = ",".join(sorted(donor_ids)).encode()
+    return f"uni:{hashlib.blake2b(joined, digest_size=8).hexdigest()}"
+
+
 @dataclass
 class _VehicleState:
     usage: _UsageBuffer = field(default_factory=_UsageBuffer)
-    model: object | None = None
-    model_trained_cycles: int = -1
-    model_version: int | None = None  # store version of the serving model
-    pinned_version: int | None = None  # operator pin; blocks retrain/promote
-    sim_model: object | None = None
-    sim_key: tuple | None = None  # (donor id, donor cycle count)
+    # Operator pin: blocks retrain/promote.  It lives here, not in the
+    # model table, because a pin outlives an unloadable artifact.
+    pinned_version: int | None = None
     # Model_Sim donor search answer: ((own days, donor epoch), donor id).
     nearest: tuple[tuple[int, int], str | None] | None = field(
         default=None, repr=False
@@ -205,7 +226,8 @@ class _FleetIndex:
     """
 
     __slots__ = (
-        "touched", "rank", "category", "old", "donors", "donor_ids", "epoch"
+        "touched", "rank", "category", "old", "donors", "donor_ids",
+        "uni_scope", "epoch",
     )
 
     def __init__(self, vehicle_ids=()):
@@ -221,6 +243,8 @@ class _FleetIndex:
         #: order (Model_Uni concatenates their first cycles in it).
         self.donors: dict[str, VehicleSeries] = {}
         self.donor_ids: frozenset[str] = frozenset()
+        #: Model-table scope of the full pool's Model_Uni.
+        self.uni_scope = _uni_scope(self.donor_ids)
         #: Bumped whenever a vehicle joins or leaves OLD or an OLD
         #: vehicle gets a day: a donor search answer from an older
         #: epoch may be stale.
@@ -261,6 +285,7 @@ class _FleetIndex:
             rank = self.rank.__getitem__
             self.donors = {vid: donors[vid] for vid in sorted(donors, key=rank)}
             self.donor_ids = frozenset(donors)
+            self.uni_scope = _uni_scope(self.donor_ids)
 
 
 class _Plan:
@@ -277,7 +302,7 @@ class _Plan:
         "span",
         "rung",
         "strategy",
-        "model",
+        "entry",
         "donor_id",
         "scope",
         "reasons",
@@ -304,6 +329,22 @@ _LIFECYCLE_ACTIONS = ("promote", "rollback", "pin", "unpin")
 class MaintenancePredictionService:
     """Stateful fleet prediction service.
 
+    Every served model is one :class:`ModelEntry` in one table,
+    ``self._models``, keyed by serving scope: ``per-vehicle:<vid>`` (an
+    OLD vehicle's champion, stale once the vehicle completes a cycle
+    its key has not seen), ``sim:<donor id>`` (the Model_Sim shared by
+    every SEMI-NEW vehicle matched to that donor; it trains on the
+    donor's frozen first cycle, so it never goes stale) and
+    ``uni:<donor-set digest>`` (the Model_Uni of one donor set).
+    Only writers install rows: the lazy fits and store reloads that
+    routing asks for (:meth:`_ensure_vehicle_model`,
+    :meth:`_similarity_model`, :meth:`_ensure_unified_model`),
+    :meth:`install_model`, :meth:`apply_lifecycle_event` and
+    :meth:`load_state_dict`.  :meth:`_forecast` reads the row its
+    vehicle was routed to, and lifecycle code reads a vehicle's row
+    through :meth:`champion`.  A row's scope and key are also its
+    :attr:`kernel_cache` scope and version token.
+
     Parameters
     ----------
     t_v:
@@ -315,8 +356,9 @@ class MaintenancePredictionService:
         Registry key for the regression models (default the paper's
         best, RF).
     store:
-        Optional :class:`ModelStore`; fitted models are persisted there
-        with vehicle/strategy metadata.
+        Optional :class:`ModelStore`; per-vehicle champions are
+        persisted there with vehicle/strategy metadata (cold-start
+        models are cheap to refit and are not).
     monitor:
         Optional :class:`DriftMonitor` fed with resolved residuals.
     similarity_measure:
@@ -400,18 +442,11 @@ class MaintenancePredictionService:
         self._journal_depth = 0  # > 0 suppresses journaling (replay)
         self._vehicles: dict[str, _VehicleState] = {}
         self._index = _FleetIndex()
-        # Fitted Model_Uni per donor-id set: the full pool NEW vehicles
-        # serve, and the pool less one OLD vehicle that a breaker
-        # step-down routes to unified, each fit once.
-        self._unified_models: dict[frozenset[str], object] = {}
+        #: The model table: serving scope -> installed :class:`ModelEntry`.
+        self._models: dict[str, ModelEntry] = {}
         #: Compiled-kernel cache of the predict path, keyed by serving
         #: scope and weakly on the live model.
         self.kernel_cache = CompiledModelCache()
-        # Shared fitted Model_Sim per donor: every semi-new vehicle with
-        # the same (deterministically trained) donor serves the same
-        # predictor object, so the batched path can stack their rows
-        # into one kernel call.  Keyed donor_id -> (sim_key, predictor).
-        self._sim_donor_models: dict[str, tuple[tuple, object]] = {}
         self._persist_lock = threading.Lock()
         self._fallback_counts: dict[str, Counter] = {}
         self._persist_failures = 0
@@ -653,8 +688,9 @@ class MaintenancePredictionService:
         predictor.fit(dataset, usage=series.usage)
         return predictor
 
-    def _ensure_vehicle_model(self, vehicle_id: str):
-        """Per-vehicle model, retrained when a new cycle has completed.
+    def _ensure_vehicle_model(self, vehicle_id: str) -> ModelEntry:
+        """The vehicle's ``per-vehicle`` row, retrained when a new cycle
+        has completed.
 
         The one place that decides a per-vehicle model is stale: every
         read that routes a vehicle to its own model asks here.  Besides
@@ -666,64 +702,40 @@ class MaintenancePredictionService:
         then the only replacement path).
         """
         state = self._state(vehicle_id)
+        scope = f"per-vehicle:{vehicle_id}"
+        entry = self._models.get(scope, _NO_CHAMPION)
         if state.pinned_version is not None:
-            if (
-                state.model is not None
-                and state.model_version == state.pinned_version
-            ):
-                return state.model
+            if entry.predictor is not None and entry.version == state.pinned_version:
+                return entry
             if self.store is None:
                 raise ValueError(
                     f"Vehicle {vehicle_id!r} is pinned to version "
                     f"{state.pinned_version} but the service has no store."
                 )
-            artifact = self.store.load(
-                f"{vehicle_id}.per-vehicle", state.pinned_version
-            )
-            self.install_model(
+            return self._install_artifact(
                 vehicle_id,
-                artifact.predictor,
-                trained_cycles=int(
-                    artifact.metadata.get("trained_cycles", -1)
+                self.store.load(
+                    f"{vehicle_id}.per-vehicle", state.pinned_version
                 ),
-                version=artifact.version,
             )
-            return state.model
-        series = self.series(vehicle_id)
-        n_cycles = len(series.completed_cycles)
-        if (
-            state.model is None
-            and state.model_version is not None
-            and self.store is not None
-        ):
-            # Checkpoint restore: the state carries a (possibly promoted)
-            # version number without its in-memory model.  Reload that
-            # exact artifact rather than retraining over the promotion.
-            try:
-                artifact = self.store.load(
-                    f"{vehicle_id}.per-vehicle",
-                    state.model_version,
-                    quarantine=False,
-                )
-            except Exception:
-                state.model_version = None  # pruned/corrupt: retrain below
+        n_cycles = len(self.series(vehicle_id).completed_cycles)
+        if entry.predictor is None and entry.version is not None:
+            # Checkpoint restore: the row carries a (possibly promoted)
+            # version number without its model.  Reload that exact
+            # artifact rather than retraining over the promotion; a
+            # pruned or corrupt one is forgotten and retrained below.
+            artifact = self._load_stored_model(vehicle_id, entry.version)
+            if artifact is None:
+                del self._models[scope]
             else:
-                self.install_model(
-                    vehicle_id,
-                    artifact.predictor,
-                    trained_cycles=int(
-                        artifact.metadata.get("trained_cycles", -1)
-                    ),
-                    version=artifact.version,
-                )
-        if state.model is not None and (
-            not self.retrain_on_cycle
-            or state.model_trained_cycles == n_cycles
+                entry = self._install_artifact(vehicle_id, artifact)
+        if entry.predictor is not None and (
+            not self.retrain_on_cycle or entry.key == n_cycles
         ):
-            return state.model
+            return entry
         with self._stage("train", strategy="per-vehicle", vehicle_id=vehicle_id):
             predictor = self._fit_vehicle_model(vehicle_id)
-        self.install_model(
+        return self.install_model(
             vehicle_id,
             predictor,
             trained_cycles=n_cycles,
@@ -734,21 +746,21 @@ class MaintenancePredictionService:
                 trained_cycles=n_cycles,
             ),
         )
-        return predictor
 
     def _ensure_unified_model(self, exclude: str | None = None):
-        """``(Model_Uni, donor-id set)`` over the old vehicles' first
-        cycles, leaving out ``exclude``; ``(None, empty set)`` without
+        """``(Model_Uni row, scope)`` over the old vehicles' first
+        cycles, leaving out ``exclude``; ``(None, None)`` without
         donors.  Each distinct donor set fits once."""
         index = self._fleet_index()
-        donor_ids = index.donor_ids
+        donor_ids, scope = index.donor_ids, index.uni_scope
         if exclude in donor_ids:
             donor_ids = donor_ids - {exclude}
+            scope = _uni_scope(donor_ids)
         if not donor_ids:
-            return None, donor_ids
-        predictor = self._unified_models.get(donor_ids)
-        if predictor is not None:
-            return predictor, donor_ids
+            return None, None
+        entry = self._models.get(scope)
+        if entry is not None and entry.key == donor_ids:
+            return entry, scope
         donors = [s for vid, s in index.donors.items() if vid in donor_ids]
         with self._stage("train", strategy="unified", donors=len(donors)):
             merged = RelationalDataset.concatenate(
@@ -759,30 +771,26 @@ class MaintenancePredictionService:
         # Keep only the pools routing can still ask for: the full pool
         # and the full pool less one OLD vehicle.
         full = index.donor_ids
-        self._unified_models = {
-            ids: model
-            for ids, model in self._unified_models.items()
-            if ids <= full and len(full) - len(ids) <= 1
-        }
-        self._unified_models[donor_ids] = predictor
-        self._persist(
-            "fleet.unified",
-            predictor,
-            strategy="unified",
-            donors=sorted(donor_ids),
-        )
-        return predictor, donor_ids
+        for old_scope, old in list(self._models.items()):
+            if old_scope.startswith("uni:") and not (
+                old.key <= full and len(full) - len(old.key) <= 1
+            ):
+                del self._models[old_scope]
+                self.kernel_cache.invalidate(old_scope)
+        entry = self._models[scope] = ModelEntry(predictor, donor_ids)
+        return entry, scope
 
     def _similarity_model(self, vehicle_id: str):
-        """``Model_Sim`` for one semi-new vehicle; None without donors.
+        """``(Model_Sim row, donor id, scope)`` for one semi-new vehicle;
+        ``(None, None, None)`` without donors.
 
         The donor search answer is remembered on the vehicle's state,
         keyed on (its own length, donor epoch): it can only change when
-        the target or a donor gets a day.  The fitted donor model is
-        cached keyed on (donor id, donor cycle count) — like the
-        per-vehicle and unified paths — so repeated predictions between
-        donor changes do not re-fit (the donor's *first* cycle, the
-        training data, is frozen once completed).
+        the target or a donor gets a day.  The fitted model is one
+        ``sim:<donor id>`` row shared by every matching target (fits are
+        deterministic, and a shared object lets predict_batch stack
+        them into one kernel call).  It trains on the donor's first
+        cycle, frozen once completed: later cycles never refit it.
         """
         index = self._fleet_index()
         state = self._state(vehicle_id)
@@ -804,20 +812,11 @@ class MaintenancePredictionService:
                 )
             state.nearest = (key, donor_id)
         if donor_id is None:
-            return None, None
-        donor = index.donors[donor_id]
-        cache_key = (donor_id, len(donor.completed_cycles))
-        if state.sim_model is not None and state.sim_key == cache_key:
-            return state.sim_model, donor_id
-        # One fitted model per donor, shared by every target vehicle
-        # that routes to it: training is deterministic (fixed seed,
-        # donor-only data), so sharing is bit-identical to per-target
-        # fits — and a shared object is what lets predict_batch stack
-        # same-donor vehicles into one kernel call.
-        shared = self._sim_donor_models.get(donor_id)
-        if shared is not None and shared[0] == cache_key:
-            predictor = shared[1]
-        else:
+            return None, None, None
+        scope = f"sim:{donor_id}"
+        entry = self._models.get(scope)
+        if entry is None:
+            donor = index.donors[donor_id]
             with self._stage(
                 "train",
                 strategy="similarity",
@@ -829,16 +828,8 @@ class MaintenancePredictionService:
                     first_cycle_dataset(donor, self.window),
                     usage=donor.usage[: donor.first_cycle().end + 1],
                 )
-            self._sim_donor_models[donor_id] = (cache_key, predictor)
-        state.sim_model = predictor
-        state.sim_key = cache_key
-        self._persist(
-            f"{vehicle_id}.similarity",
-            predictor,
-            strategy="similarity",
-            donor=donor_id,
-        )
-        return predictor, donor_id
+            entry = self._models[scope] = ModelEntry(predictor, donor_id)
+        return entry, donor_id, scope
 
     def _baseline_model(self, vehicle_id: str):
         state = self._state(vehicle_id)
@@ -854,19 +845,35 @@ class MaintenancePredictionService:
 
     # -- model lifecycle -------------------------------------------------------
 
+    def champion(self, vehicle_id: str) -> ModelEntry:
+        """The vehicle's installed ``per-vehicle`` row (``predictor``
+        ``None`` and ``key`` -1 before one is installed).  Only a lookup:
+        a read of the vehicle (:meth:`predict`) installs lazily."""
+        self._state(vehicle_id)
+        return self._models.get(f"per-vehicle:{vehicle_id}", _NO_CHAMPION)
+
     def _load_stored_model(self, vehicle_id: str, version: int | None):
-        """Tolerant store load for lifecycle installs; ``None`` on any
+        """Tolerant store load of a per-vehicle artifact for lifecycle
+        installs and restored rows; ``None`` without a store or on any
         failure (journal replay must succeed even when an artifact was
         pruned or the store moved — the vehicle then retrains lazily)."""
         if self.store is None:
             return None
         try:
-            artifact = self.store.load(
+            return self.store.load(
                 f"{vehicle_id}.per-vehicle", version, quarantine=False
             )
         except Exception:
             return None
-        return artifact.predictor
+
+    def _install_artifact(self, vehicle_id: str, artifact) -> ModelEntry:
+        """Install a loaded store artifact as the vehicle's champion."""
+        return self.install_model(
+            vehicle_id,
+            artifact.predictor,
+            trained_cycles=int(artifact.metadata.get("trained_cycles", -1)),
+            version=artifact.version,
+        )
 
     def install_model(
         self,
@@ -875,23 +882,27 @@ class MaintenancePredictionService:
         *,
         trained_cycles: int,
         version: int | None = None,
-    ) -> None:
-        """Atomically swap a vehicle's serving model.
+    ) -> ModelEntry:
+        """Atomically swap a vehicle's serving model; returns its row.
 
         Every per-vehicle model — trained or retrained on predict,
-        promoted, rolled back or reloaded — is installed here.
-        Metadata lands first and the ``model`` reference is assigned
-        last — a concurrent :meth:`predict` sees either the old
-        champion or the fully-described new one, never a
-        half-installed model (zero serving interruption).
+        promoted, rolled back or reloaded — is installed here, as one
+        immutable :class:`ModelEntry` assigned to its table row: a
+        concurrent :meth:`predict` sees either the old champion or the
+        fully-described new one, never a half-installed model (zero
+        serving interruption).
         """
-        state = self._state(vehicle_id)
-        state.model_trained_cycles = int(trained_cycles)
-        state.model_version = None if version is None else int(version)
-        state.model = predictor
+        self._state(vehicle_id)
+        scope = f"per-vehicle:{vehicle_id}"
+        entry = self._models[scope] = ModelEntry(
+            predictor,
+            int(trained_cycles),
+            None if version is None else int(version),
+        )
         # The kernel cache already misses on the new model object; this
         # only stops it pinning the old champion's flattened tables.
-        self.kernel_cache.invalidate(f"{vehicle_id}:per-vehicle")
+        self.kernel_cache.invalidate(scope)
+        return entry
 
     def apply_lifecycle_event(
         self,
@@ -931,11 +942,13 @@ class MaintenancePredictionService:
             if reason is not None:
                 payload["r"] = reason
             self.journal.append("lifecycle", **payload)
-        if action == "promote":
-            state.pinned_version = None
+        pinned = action in ("rollback", "pin")
+        state.pinned_version = int(version) if pinned else None
+        if action != "unpin":
             model = predictor
             if model is None:
-                model = self._load_stored_model(vehicle_id, version)
+                artifact = self._load_stored_model(vehicle_id, version)
+                model = None if artifact is None else artifact.predictor
             if model is not None:
                 self.install_model(
                     vehicle_id,
@@ -946,33 +959,13 @@ class MaintenancePredictionService:
                     version=version,
                 )
             else:
-                # Replay with the artifact gone: drop to deterministic
-                # lazy retraining instead of serving a stale champion.
-                state.model = None
-                state.model_trained_cycles = -1
-                state.model_version = None
-        elif action in ("rollback", "pin"):
-            state.pinned_version = int(version)
-            model = predictor
-            if model is None:
-                model = self._load_stored_model(vehicle_id, version)
-            if model is not None:
-                self.install_model(
-                    vehicle_id,
-                    model,
-                    trained_cycles=(
-                        -1 if trained_cycles is None else trained_cycles
-                    ),
-                    version=version,
-                )
-            else:
-                # Pinned but not loadable right now: the next predict
-                # resolves the pin through _ensure_vehicle_model (and
-                # raises there if the artifact truly is gone).
-                state.model = None
-                state.model_version = None
-        else:  # unpin
-            state.pinned_version = None
+                # Artifact gone on replay: a promote drops to
+                # deterministic lazy retraining instead of serving a
+                # stale champion; a pin is resolved by the next read
+                # (which raises there if the artifact truly is gone).
+                scope = f"per-vehicle:{vehicle_id}"
+                self._models.pop(scope, None)
+                self.kernel_cache.invalidate(scope)
         event = {
             "action": action,
             "vehicle_id": vehicle_id,
@@ -1010,19 +1003,15 @@ class MaintenancePredictionService:
         return row, float(usage_left), today
 
     def _rung_model(self, strategy: str, vehicle_id: str):
-        """``(model, donor_id, kernel scope)`` for one ladder rung; a
-        ``None`` model means the rung has no donors yet.  The scope is
-        ``(cache scope, version token)`` for :attr:`kernel_cache`."""
+        """``(model-table row, donor_id, scope)`` for one ladder rung; a
+        ``None`` row means the rung has no donors yet."""
         if strategy == "per-vehicle":
-            model = self._ensure_vehicle_model(vehicle_id)
-            version = self._state(vehicle_id).model_version
-            return model, None, (f"{vehicle_id}:per-vehicle", version)
+            entry = self._ensure_vehicle_model(vehicle_id)
+            return entry, None, f"per-vehicle:{vehicle_id}"
         if strategy == "similarity":
-            model, donor_id = self._similarity_model(vehicle_id)
-            sim_key = self._state(vehicle_id).sim_key
-            return model, donor_id, (f"sim:{donor_id}", sim_key)
-        model, donor_ids = self._ensure_unified_model(exclude=vehicle_id)
-        return model, None, ("fleet:unified", donor_ids)
+            return self._similarity_model(vehicle_id)
+        entry, scope = self._ensure_unified_model(exclude=vehicle_id)
+        return entry, None, scope
 
     def _count_fallback(self, vehicle_id: str, strategy: str) -> None:
         self._fallback_counts.setdefault(vehicle_id, Counter())[strategy] += 1
@@ -1054,7 +1043,7 @@ class MaintenancePredictionService:
         for index in range(rung, len(ladder)):
             plan.strategy = strategy = ladder[index]
             if breaker is None:
-                model, donor_id, scope = self._rung_model(strategy, vehicle_id)
+                entry, donor_id, scope = self._rung_model(strategy, vehicle_id)
             elif not breaker.allow(f"{vehicle_id}:{strategy}"):
                 plan.reasons.append(f"{strategy}: circuit open")
                 tracing.add_event(
@@ -1063,19 +1052,19 @@ class MaintenancePredictionService:
                 continue
             else:
                 try:
-                    model, donor_id, scope = self._rung_model(
+                    entry, donor_id, scope = self._rung_model(
                         strategy, vehicle_id
                     )
                 except Exception as exc:
                     self._rung_failed(plan, exc)
                     continue
-            if model is not None:
+            if entry is not None:
                 plan.rung = index
-                plan.model, plan.donor_id, plan.scope = model, donor_id, scope
+                plan.entry, plan.donor_id, plan.scope = entry, donor_id, scope
                 return
         plan.rung = len(ladder)
         plan.strategy = "baseline"
-        plan.model = self._baseline_model(vehicle_id)
+        plan.entry = ModelEntry(self._baseline_model(vehicle_id), None)
         plan.donor_id = plan.scope = None
 
     def _plan(self, vehicle_id: str, span) -> _Plan:
@@ -1102,15 +1091,13 @@ class MaintenancePredictionService:
         """
         groups: dict[int, list[_Plan]] = {}
         for plan in plans:
-            groups.setdefault(id(plan.model), []).append(plan)
+            groups.setdefault(id(plan.entry.predictor), []).append(plan)
         breaker = self.breaker
         rerouted = []
         for group in groups.values():
-            model, scope = group[0].model, group[0].scope
+            (model, key, _), scope = group[0].entry, group[0].scope
             compiled = (
-                None
-                if scope is None
-                else self.kernel_cache.get(scope[0], model, scope[1])
+                None if scope is None else self.kernel_cache.get(scope, model, key)
             )
             if compiled is not None:
                 predict = compiled.predict
@@ -1170,9 +1157,7 @@ class MaintenancePredictionService:
             donor_id=plan.donor_id,
             degraded=reason is not None,
             fallback_reason=reason,
-            model_version=(
-                state.model_version if strategy == "per-vehicle" else None
-            ),
+            model_version=plan.entry.version,
         )
 
     def predict(self, vehicle_id: str) -> Forecast:
@@ -1258,8 +1243,11 @@ class MaintenancePredictionService:
         persistence counters, plus the configuration fingerprint that
         :meth:`load_state_dict` validates.  Models are deliberately
         *not* snapshotted — they retrain deterministically from the
-        usage histories (the equivalence suite pins this); the latest
-        persisted version per store key is recorded informationally.
+        usage histories (the equivalence suite pins this); each
+        champion's store version is, and the latest persisted version
+        per store key is recorded informationally.  ``order`` is the
+        registration order, which Model_Uni's donor concatenation
+        follows.
         """
         vehicles = {}
         for vid in sorted(self._vehicles):
@@ -1271,11 +1259,12 @@ class MaintenancePredictionService:
                     for day, predicted, strategy in state.pending
                 ],
                 "resolved_through_cycle": state.resolved_through_cycle,
-                "model_version": state.model_version,
+                "model_version": self.champion(vid).version,
                 "pinned_version": state.pinned_version,
             }
         snapshot = {
             "schema": 1,
+            "order": list(self._vehicles),
             "config": {
                 "t_v": self.t_v,
                 "window": self.window,
@@ -1307,7 +1296,10 @@ class MaintenancePredictionService:
         fingerprint does not match this service, or when component
         presence (guard/breaker/monitor) diverges — recovering counters
         into a differently-shaped service would silently mis-route.
-        Models are left to retrain lazily; caches are invalidated.
+        Vehicles are re-registered in the snapshot's ``order`` (sorted
+        id order when it has none).  The model table keeps only each
+        champion's store version, for the first read to reload; every
+        other model retrains lazily, and compiled kernels are dropped.
         """
         if not isinstance(state, dict) or state.get("schema") != 1:
             raise ValueError(
@@ -1338,8 +1330,15 @@ class MaintenancePredictionService:
                     f"Snapshot {'has' if state.get(name) else 'lacks'} "
                     f"{name} state but this service runs {have} one."
                 )
-        self._vehicles = {
-            vid: _VehicleState(
+        vehicles = state.get("vehicles", {})
+        order = state.get("order", sorted(vehicles))
+        if sorted(order) != sorted(vehicles):
+            raise ValueError("Service state's order must list its vehicles.")
+        self._vehicles = {}
+        self._models = {}
+        for vid in order:
+            snap = vehicles[vid]
+            self._vehicles[vid] = _VehicleState(
                 usage=_UsageBuffer(snap["usage"]),
                 pending=[
                     (int(day), float(predicted), str(strategy))
@@ -1349,19 +1348,18 @@ class MaintenancePredictionService:
                 resolved_through_cycle=int(
                     snap.get("resolved_through_cycle", 0)
                 ),
-                model_version=(
-                    None
-                    if snap.get("model_version") is None
-                    else int(snap["model_version"])
-                ),
                 pinned_version=(
                     None
                     if snap.get("pinned_version") is None
                     else int(snap["pinned_version"])
                 ),
             )
-            for vid, snap in state.get("vehicles", {}).items()
-        }
+            if snap.get("model_version") is not None:
+                # The version without its model: the first read
+                # reloads that artifact (_ensure_vehicle_model).
+                self._models[f"per-vehicle:{vid}"] = ModelEntry(
+                    None, -1, int(snap["model_version"])
+                )
         self.lifecycle_log = [
             dict(event) for event in state.get("lifecycle_log", [])
         ]
@@ -1377,8 +1375,6 @@ class MaintenancePredictionService:
         if self.monitor is not None:
             self.monitor.load_state_dict(state["monitor"])
         self._index = _FleetIndex(self._vehicles)
-        self._unified_models = {}
-        self._sim_donor_models.clear()
         # Restored states may pin different model versions than the
         # ones that were serving: every compiled kernel is stale.
         self.kernel_cache.invalidate()

@@ -2,7 +2,15 @@
 
 import json
 
+from repro.cli import main
 from repro.durability.drill import generate_ops, kill_recovery_drill
+
+
+def dry_run(state_dir, capsys) -> dict:
+    """``repro recover --dry-run --json`` report of a state dir."""
+    argv = ["recover", "--state", str(state_dir), "--dry-run", "--json"]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def _dump(ops) -> str:
@@ -27,7 +35,7 @@ class TestGenerateOps:
 
 
 class TestKillRecovery:
-    def test_clean_kill_recovers_bit_identical(self, tmp_path):
+    def test_clean_kill_recovers_bit_identical(self, tmp_path, capsys):
         report = kill_recovery_drill(
             tmp_path / "drill",
             n_vehicles=3,
@@ -42,8 +50,13 @@ class TestKillRecovery:
         assert report["forecasts_match"]
         assert report["health_match"]
         assert report["last_seq"] >= report["durable_acked"]
+        # The drill recovered a copy: ``state/`` is left as the worker
+        # died, with journal records past its last checkpoint.
+        dry = dry_run(tmp_path / "drill" / "state", capsys)
+        assert dry["replay_needed"] > 0
+        assert dry["journal"]["torn_tail_bytes"] == 0
 
-    def test_torn_tail_kill_recovers(self, tmp_path):
+    def test_torn_tail_kill_recovers(self, tmp_path, capsys):
         report = kill_recovery_drill(
             tmp_path / "drill",
             n_vehicles=3,
@@ -58,3 +71,6 @@ class TestKillRecovery:
         assert report["torn_records_dropped"] >= 1
         assert report["acked_survived"]
         assert report["forecasts_match"]
+        dry = dry_run(tmp_path / "drill" / "state", capsys)
+        assert dry["replay_needed"] > 0
+        assert dry["journal"]["torn_tail_bytes"] > 0

@@ -56,7 +56,7 @@ class TestSweep:
     def test_drifted_challenger_promotes_and_is_attributed(self, drifted_stack):
         engine, controller, drifted = drifted_stack
         service = engine.service
-        before = {vid: service._vehicles[vid].model_version
+        before = {vid: service.champion(vid).version
                   for vid in service.vehicle_ids}
         entries = controller.run_once()
         assert [e["vehicle_id"] for e in entries] == drifted
@@ -66,10 +66,10 @@ class TestSweep:
             assert entry["shadow"]["improvement"] > 0
         # Promotion swapped only the drifted champions, atomically.
         for vid in service.vehicle_ids:
-            state = service._vehicles[vid]
-            assert state.model is not None
+            champion = service.champion(vid)
+            assert champion.predictor is not None
             expected = before[vid] + (1 if vid in drifted else 0)
-            assert state.model_version == expected
+            assert champion.version == expected
         # The new champion is attributed in the next forecast.
         vid = drifted[0]
         forecast = service.predict(vid)
@@ -85,7 +85,7 @@ class TestSweep:
         # Retention keeps at most `retention` versions plus the active one.
         versions = service.store.versions(f"{vid}.per-vehicle")
         assert len(versions) <= controller.retention + 1
-        assert service._vehicles[vid].model_version in versions
+        assert service.champion(vid).version in versions
 
     def test_sweep_consumes_alerts_until_cooldown(self, drifted_stack):
         engine, controller, drifted = drifted_stack
@@ -115,8 +115,8 @@ class TestFailureHandling:
     def test_failed_training_leaves_champion_serving(self, drifted_stack):
         engine, controller, drifted = drifted_stack
         service, vid = engine.service, drifted[0]
-        champion = service._vehicles[vid].model
-        version = service._vehicles[vid].model_version
+        champion = service.champion(vid).predictor
+        version = service.champion(vid).version
 
         def boom(*args, **kwargs):
             raise RuntimeError("factory down")
@@ -125,9 +125,8 @@ class TestFailureHandling:
         entry = controller.evaluate_vehicle(vid)
         assert entry["outcome"] == "failed"
         assert "challenger training failed" in entry["detail"]
-        state = service._vehicles[vid]
-        assert state.model is champion
-        assert state.model_version == version
+        assert service.champion(vid).predictor is champion
+        assert service.champion(vid).version == version
         assert service.predict(vid).model_version == version
         counters = controller.counters()
         assert counters["train_failures"] == 1

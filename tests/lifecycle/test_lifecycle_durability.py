@@ -58,7 +58,7 @@ class TestJournaledPromotion:
         assert promoted, "scenario must journal at least one promotion"
         service = engine.service
         before = {
-            vid: np.asarray(service._vehicles[vid].model.predict(PROBE))
+            vid: np.asarray(service.champion(vid).predictor.predict(PROBE))
             for vid in promoted
         }
         log_before = [dict(e) for e in service.lifecycle_log]
@@ -68,11 +68,11 @@ class TestJournaledPromotion:
         service2 = engine2.service
         assert [dict(e) for e in service2.lifecycle_log] == log_before
         for vid, version in promoted.items():
-            service2._ensure_vehicle_model(vid)
-            state2 = service2._vehicles[vid]
-            assert state2.model_version == version
+            service2.predict(vid)  # a read installs a restored version
+            champion = service2.champion(vid)
+            assert champion.version == version
             np.testing.assert_array_equal(
-                np.asarray(state2.model.predict(PROBE)), before[vid]
+                np.asarray(champion.predictor.predict(PROBE)), before[vid]
             )
         manager2.close()
 
@@ -85,12 +85,12 @@ class TestJournaledPromotion:
             engine, _, mgr = _recover_stack(state, with_store=True)
             service = engine.service
             for vid in promoted:
-                service._ensure_vehicle_model(vid)
+                service.predict(vid)  # a read installs a restored version
             snapshots.append(
                 {
                     "log": [dict(e) for e in service.lifecycle_log],
                     "versions": {
-                        vid: service._vehicles[vid].model_version
+                        vid: service.champion(vid).version
                         for vid in service.vehicle_ids
                     },
                 }
@@ -119,8 +119,7 @@ class TestJournaledPromotion:
         for vid, version in promoted.items():
             key = f"{vid}.per-vehicle"
             versions_before = service2.store.versions(key)
-            vstate = service2._vehicles[vid]
-            assert vstate.model_version == version  # from the checkpoint
+            assert service2.champion(vid).version == version  # from the checkpoint
             (batched,) = reader.predict_many([vid])
             forecast = service2.predict(vid)
             for read in (batched, forecast):
@@ -130,7 +129,7 @@ class TestJournaledPromotion:
             assert service2.store.versions(key) == versions_before
             stored = service2.store.load(key, version)
             np.testing.assert_array_equal(
-                np.asarray(vstate.model.predict(PROBE)),
+                np.asarray(service2.champion(vid).predictor.predict(PROBE)),
                 np.asarray(stored.predictor.predict(PROBE)),
             )
         manager2.close(checkpoint=False)

@@ -28,14 +28,15 @@ class TestRollback:
     ):
         engine, controller, vid = promoted_stack
         service = engine.service
-        assert service._vehicles[vid].model_version == 2
+        assert service.champion(vid).version == 2
         event = controller.rollback(vid)
         assert event["action"] == "rollback"
         assert event["vehicle_id"] == vid
-        state = service._vehicles[vid]
-        assert state.model_version == 1
+        champion = service.champion(vid)
+        assert champion.version == 1
         np.testing.assert_array_equal(
-            state.model.predict(PROBE), stored_prediction(service, vid, 1)
+            champion.predictor.predict(PROBE),
+            stored_prediction(service, vid, 1),
         )
         assert service.predict(vid).model_version == 1
 
@@ -50,7 +51,7 @@ class TestRollback:
     def test_explicit_version_rollback(self, promoted_stack):
         engine, controller, vid = promoted_stack
         controller.rollback(vid, 1)
-        assert engine.service._vehicles[vid].model_version == 1
+        assert engine.service.champion(vid).version == 1
 
     def test_rollback_without_prior_version_raises(self, drifted_stack):
         engine, controller, drifted = drifted_stack
@@ -77,11 +78,12 @@ class TestPin:
         engine, controller, vid = promoted_stack
         service = engine.service
         controller.pin(vid, 1)
-        state = service._vehicles[vid]
-        assert state.pinned_version == 1
-        assert state.model_version == 1
+        assert service._vehicles[vid].pinned_version == 1
+        champion = service.champion(vid)
+        assert champion.version == 1
         np.testing.assert_array_equal(
-            state.model.predict(PROBE), stored_prediction(service, vid, 1)
+            champion.predictor.predict(PROBE),
+            stored_prediction(service, vid, 1),
         )
         controller.unpin(vid)
         assert service._vehicles[vid].pinned_version is None

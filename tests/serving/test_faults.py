@@ -266,7 +266,7 @@ class TestTrainingFailureChaos:
         for i, vehicle_id in enumerate(ids):
             engine.ingest_history(vehicle_id, [18_000.0 + 1_000.0 * i] * 40)
         assert all(f.model_version == 1 for f in engine.predict_all())
-        champions = {v: service._vehicles[v].model for v in ids}
+        champions = {v: service.champion(v).predictor for v in ids}
         for _ in range(15):  # one more completed cycle: every model stale
             engine.ingest_day({v: 20_000.0 for v in ids})
 
@@ -290,10 +290,10 @@ class TestTrainingFailureChaos:
         forecasts = {f.vehicle_id: f for f in engine.predict_all()}
         assert installed == sorted(set(ids) - failing)
         for vehicle_id in ids:
-            state = service._vehicles[vehicle_id]
+            champion = service.champion(vehicle_id)
             failed = vehicle_id in failing
-            assert (state.model is champions[vehicle_id]) == failed
-            assert state.model_version == (1 if failed else 2)
+            assert (champion.predictor is champions[vehicle_id]) == failed
+            assert champion.version == (1 if failed else 2)
             assert service.store.versions(f"{vehicle_id}.per-vehicle") == (
                 [1] if failed else [1, 2]
             )
@@ -386,16 +386,15 @@ class TestReadPathRetrainBreaker:
 
     def test_failed_retrain_persists_nothing(self, tmp_path):
         engine, service, injector = self.build_stack(tmp_path)
-        state = service._vehicles["v1"]
-        champion = state.model
+        champion = service.champion("v1").predictor
         injector.rates["train"] = 1.0
         (forecast,) = engine.predict_all()
         assert forecast.degraded and forecast.strategy == "baseline"
         assert service.breaker.failure_count(self.KEY) == 1
         # The stale champion is untouched: same object, same version,
         # nothing new persisted.
-        assert state.model is champion
-        assert state.model_version == 1
+        assert service.champion("v1").predictor is champion
+        assert service.champion("v1").version == 1
         assert service.store.versions("v1.per-vehicle") == [1]
 
     def test_without_breaker_first_failure_raises(self, tmp_path):
@@ -415,7 +414,7 @@ class TestReadPathRetrainBreaker:
         assert injector.calls["train"] == calls_before
         assert forecast.degraded
         assert service.breaker.is_open(self.KEY)
-        assert service._vehicles["v1"].model_version == 1
+        assert service.champion("v1").version == 1
         assert service.store.versions("v1.per-vehicle") == [1]
 
     def test_prediction_degrades_while_open(self, tmp_path):
@@ -439,7 +438,7 @@ class TestReadPathRetrainBreaker:
         assert not forecast.degraded
         assert forecast.strategy == "per-vehicle"
         assert forecast.model_version == 2
-        assert service._vehicles["v1"].model_version == 2
+        assert service.champion("v1").version == 2
         assert service.store.versions("v1.per-vehicle") == [1, 2]
 
     def test_recovered_model_matches_unfaulted_training(self, tmp_path):
@@ -454,8 +453,8 @@ class TestReadPathRetrainBreaker:
 
         probe = np.array([[100_000.0]])
         np.testing.assert_array_equal(
-            np.asarray(service._vehicles["v1"].model.predict(probe)),
-            np.asarray(clean_service._vehicles["v1"].model.predict(probe)),
+            np.asarray(service.champion("v1").predictor.predict(probe)),
+            np.asarray(clean_service.champion("v1").predictor.predict(probe)),
         )
 
 

@@ -254,7 +254,7 @@ class TestLifecycleInvalidation:
         assert service.predict_batch(["v0"])[0].model_version == 1
         before = service.kernel_cache.stats()
         challenger = _challenger(99)
-        cycles = service._vehicles["v0"].model_trained_cycles
+        cycles = service.champion("v0").key
         version = service.store.save("v0.per-vehicle", challenger)
         service.apply_lifecycle_event(
             "promote",
@@ -280,7 +280,7 @@ class TestLifecycleInvalidation:
     def test_rollback_recompiles_the_prior_version(self, stack):
         service = stack
         challenger = _challenger(101)
-        cycles = service._vehicles["v0"].model_trained_cycles
+        cycles = service.champion("v0").key
         v2 = service.store.save("v0.per-vehicle", challenger)
         service.apply_lifecycle_event(
             "promote",

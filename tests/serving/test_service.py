@@ -125,20 +125,46 @@ class TestModelLifecycle:
         service.register_vehicle("v01")
         service.ingest_series("v01", [20_000.0] * 25)
         service.predict("v01")
-        first_model = service._vehicles["v01"].model
+        first_model = service.champion("v01").predictor
         service.ingest_series("v01", [20_000.0] * 10)  # completes a cycle
         service.predict("v01")
-        assert service._vehicles["v01"].model is not first_model
+        assert service.champion("v01").predictor is not first_model
 
     def test_model_reused_within_cycle(self):
         service = steady_service()
         service.register_vehicle("v01")
         service.ingest_series("v01", [20_000.0] * 25)
         service.predict("v01")
-        model = service._vehicles["v01"].model
+        model = service.champion("v01").predictor
         service.ingest("v01", 20_000.0)
         service.predict("v01")
-        assert service._vehicles["v01"].model is model
+        assert service.champion("v01").predictor is model
+
+    def test_cold_start_reads_write_nothing_to_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Only per-vehicle champions are stored: SEMI-NEW and NEW
+        reads (Model_Sim, Model_Uni) save nothing."""
+        store = ModelStore(tmp_path)
+        service = steady_service(store=store)
+        for i in range(3):
+            service.register_vehicle(f"old{i}")
+            service.ingest_series(f"old{i}", [18_000.0 + 2_000.0 * i] * 25)
+        service.register_vehicle("young")
+        service.ingest_series("young", [20_000.0] * 6)
+        service.register_vehicle("baby")
+        service.ingest_series("baby", [20_000.0] * 2)
+        saves = []
+        save = store.save
+
+        def counted_save(key, *args, **kwargs):
+            saves.append(key)
+            return save(key, *args, **kwargs)
+
+        monkeypatch.setattr(store, "save", counted_save)
+        young, baby = service.predict_batch(["young", "baby"])
+        assert (young.strategy, baby.strategy) == ("similarity", "unified")
+        assert saves == []
 
     def test_models_persisted_to_store(self, tmp_path):
         store = ModelStore(tmp_path)
@@ -187,6 +213,32 @@ class TestFeedbackLoop:
             engine.predict_all()
         vehicles = engine.service.state_dict()["vehicles"]
         assert [vehicles[vid]["pending"] for vid in ids] == [[], [], []]
+
+    def test_restore_keeps_registration_order(self):
+        """Model_Uni concatenates donors in registration order, so a
+        checkpoint restore of a fleet registered out of id order must
+        serve the same unified forecasts."""
+        import json
+
+        rng = np.random.default_rng(4)
+        service = steady_service(algorithm="RF", window=2)
+        fleet = {
+            "new1": rng.uniform(5_000, 9_000, 6),
+            "new0": rng.uniform(5_000, 9_000, 6),
+            "old2": rng.uniform(14_000, 26_000, 30),
+            "old1": rng.uniform(14_000, 26_000, 30),
+            "old0": rng.uniform(14_000, 26_000, 30),
+        }
+        for vid, usage in fleet.items():  # reverse id order
+            service.register_vehicle(vid)
+            service.ingest_series(vid, usage)
+        ids = ["new0", "new1"]
+        before = service.predict_batch(ids)
+        assert {f.strategy for f in before} == {"unified"}
+        snapshot = json.loads(json.dumps(service.state_dict(), sort_keys=True))
+        restored = steady_service(algorithm="RF", window=2)
+        restored.load_state_dict(snapshot)
+        assert restored.predict_batch(ids) == before
 
     def test_restore_into_unmonitored_service_drops_pending(self):
         service = steady_service()
@@ -292,6 +344,28 @@ class TestSimilarityModelCache:
         first = service.predict("young")
         second = service.predict("young")
         assert second.days_to_maintenance == first.days_to_maintenance
+
+    def test_donor_later_cycle_does_not_refit(self):
+        """Model_Sim trains on the donor's frozen first cycle, so a
+        cycle the donor completes later must neither refit it nor move
+        the forecast."""
+        factory = CountingFactory()
+        service = steady_service(
+            algorithm="RF", window=2, predictor_factory=factory
+        )
+        service.register_vehicle("old0")
+        service.ingest_series("old0", [20_000.0] * 25)
+        service.register_vehicle("young")
+        service.ingest_series("young", [20_000.0] * 6)
+        first = service.predict("young")
+        assert (first.strategy, first.donor_id) == ("similarity", "old0")
+        assert factory.fits == 1
+        cycles = len(service.series("old0").completed_cycles)
+        service.ingest_series("old0", [20_000.0] * 10)
+        assert len(service.series("old0").completed_cycles) == cycles + 1
+        again = service.predict("young")
+        assert factory.fits == 1
+        assert again == first
 
 
 class TestServiceOnSimulatedFleet:

@@ -163,6 +163,15 @@ class TestLifecycle:
         )
         assert promoted == ["lc00", "lc01"]  # the default --drifted 2
 
+    def test_rejects_more_drifted_than_vehicles(self, capsys):
+        code = main(
+            ["lifecycle", "run-once", "--vehicles", "2", "--drifted", "5"]
+        )
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_drifted must be in [0, 2], got 5" in captured.err
+
 
 class TestMaxWorkersValidation:
     @pytest.mark.parametrize("bad", ["0", "-2"])
