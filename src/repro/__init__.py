@@ -43,18 +43,12 @@ Quickstart
 >>> series = VehicleSeries.from_vehicle(fleet.vehicles[0])
 >>> experiment = OldVehicleExperiment(OldVehicleConfig(window=6))
 >>> result = experiment.run_vehicle(series, "RF")
+
+Subpackages load on first use (PEP 562): ``import repro`` is cheap,
+and ``repro.serving`` imports that subpackage when first touched.
 """
 
-from . import (
-    context,
-    core,
-    dataprep,
-    fleet,
-    learn,
-    serving,
-    similarity,
-    telemetry,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -69,3 +63,13 @@ __all__ = [
     "telemetry",
     "__version__",
 ]
+
+_SUBPACKAGES = frozenset(
+    __all__[:-1] + ["durability", "experiments", "lifecycle", "obs"]
+)
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,13 +21,19 @@ import numpy as np
 
 from ..dataprep.transformation import RelationalDataset
 from ..learn.base import clone
+from ..learn.forest import RandomForestRegressor, fit_forests
 from ..learn.model_selection import (
     GridSearchCV,
     KFold,
     neg_mean_absolute_error_scorer,
 )
 
-__all__ = ["BaselinePredictor", "RegressionPredictor"]
+__all__ = [
+    "BaselinePredictor",
+    "RegressionPredictor",
+    "can_fuse",
+    "fit_predictors",
+]
 
 
 class BaselinePredictor:
@@ -159,3 +165,52 @@ class RegressionPredictor:
         if self.clip_negative:
             out = np.maximum(out, 0.0)
         return out
+
+
+def can_fuse(predictor) -> bool:
+    """Whether :func:`fit_predictors` can fuse ``predictor``'s fit: a plain
+    :class:`RegressionPredictor` (no grid search, no instance-level
+    ``fit`` override) around a :class:`~repro.learn.forest.
+    RandomForestRegressor`."""
+    return (
+        type(predictor) is RegressionPredictor
+        and not predictor.param_grid
+        and "fit" not in vars(predictor)
+        and type(predictor.estimator) is RandomForestRegressor
+    )
+
+
+def fit_predictors(predictors, datasets, kwargs) -> list[Exception | None]:
+    """``predictors[i].fit(datasets[i], **kwargs[i])`` for every ``i``;
+    returns one error (or ``None``) per predictor.
+
+    Each predictor ends exactly as its own ``fit`` leaves it.  The
+    :func:`can_fuse` ones grow in one :func:`~repro.learn.forest.
+    fit_forests` pass; the others fit alone, in order.  When the fused
+    pass raises, its predictors fit alone too, so an error lands on the
+    predictor whose data caused it and the others still fit.
+    """
+    fused = [i for i, p in enumerate(predictors) if can_fuse(p)]
+    models = [clone(predictors[i].estimator) for i in fused]
+    try:
+        if any(datasets[i].n_records == 0 for i in fused):
+            raise ValueError("an empty training dataset")
+        fit_forests(
+            models,
+            [datasets[i].X for i in fused],
+            [datasets[i].y for i in fused],
+        )
+    except Exception:
+        fused = []
+    for i, model in zip(fused, models):
+        predictors[i].model_ = model
+        predictors[i].best_params_ = None
+    done = set(fused)
+    errors: list[Exception | None] = [None] * len(predictors)
+    for i, predictor in enumerate(predictors):
+        if i not in done:
+            try:
+                predictor.fit(datasets[i], **kwargs[i])
+            except Exception as exc:
+                errors[i] = exc
+    return errors

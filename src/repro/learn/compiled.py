@@ -67,22 +67,6 @@ def _require_fitted(model, attribute: str) -> None:
         )
 
 
-def _tree_depth(children_left, children_right) -> int:
-    """Depth of the deepest leaf in a flat-array tree (root = 0)."""
-    n = len(children_left)
-    depth = np.zeros(n, dtype=np.intp)
-    out = 0
-    for node in range(n):
-        left = children_left[node]
-        if left != -1:
-            child_depth = depth[node] + 1
-            depth[left] = child_depth
-            depth[children_right[node]] = child_depth
-            if child_depth > out:
-                out = int(child_depth)
-    return out
-
-
 class _FlatForest:
     """Concatenated node tables for a set of flat-array trees.
 
@@ -107,49 +91,37 @@ class _FlatForest:
     )
 
     def __init__(self, trees, leaf_threshold):
-        features, thresholds, lefts, rights, values, roots = (
-            [],
-            [],
-            [],
-            [],
-            [],
-            [],
+        columns = list(zip(*trees))
+        sizes = [len(value) for value in columns[4]]
+        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        children_left, children_right = (
+            np.concatenate(column).astype(np.intp) for column in columns[:2]
         )
-        base = 0
+        leaf = children_left == -1
+        nodes = np.arange(leaf.size, dtype=np.intp)
+        base = np.repeat(roots, sizes)
+        self.left = np.where(leaf, nodes, children_left + base)
+        self.right = np.where(leaf, nodes, children_right + base)
+        self.feature = np.concatenate(columns[2]).astype(np.intp)
+        self.feature[leaf] = 0
+        self.threshold = np.concatenate(columns[3])
+        self.threshold[leaf] = leaf_threshold
+        self.value = np.concatenate(columns[4]).astype(np.float64)
+        self.roots = roots
+        self.n_trees = len(sizes)
+        # Depth of the deepest leaf: one step per level, all trees at once.
         depth = 0
-        for children_left, children_right, feature, threshold, value in trees:
-            n = len(value)
-            leaf = np.asarray(children_left) == -1
-            nodes = np.arange(base, base + n, dtype=np.intp)
-            lefts.append(
-                np.where(leaf, nodes, np.asarray(children_left) + base)
+        frontier = roots
+        while True:
+            frontier = frontier[~leaf[frontier]]
+            if not frontier.size:
+                break
+            frontier = np.concatenate(
+                (self.left[frontier], self.right[frontier])
             )
-            rights.append(
-                np.where(leaf, nodes, np.asarray(children_right) + base)
-            )
-            feat = np.asarray(feature, dtype=np.intp).copy()
-            feat[leaf] = 0
-            features.append(feat)
-            thr = np.asarray(threshold).copy()
-            thr[leaf] = leaf_threshold
-            thresholds.append(thr)
-            values.append(np.asarray(value, dtype=np.float64))
-            roots.append(base)
-            depth = max(depth, _tree_depth(children_left, children_right))
-            base += n
-        self.feature = np.ascontiguousarray(np.concatenate(features))
-        self.threshold = np.ascontiguousarray(np.concatenate(thresholds))
-        self.left = np.ascontiguousarray(
-            np.concatenate(lefts).astype(np.intp)
-        )
-        self.right = np.ascontiguousarray(
-            np.concatenate(rights).astype(np.intp)
-        )
-        self.value = np.ascontiguousarray(np.concatenate(values))
-        self.roots = np.asarray(roots, dtype=np.intp)
-        self.n_trees = len(roots)
+            depth += 1
         self.depth = depth
-        self.node_count = base
+        self.node_count = leaf.size
 
     def descend(self, codes: np.ndarray) -> np.ndarray:
         """Leaf values for every (tree, row) pair: shape ``(T, R)``.
@@ -203,11 +175,12 @@ class _CompiledTrees:
         per_tree = self.predict_per_tree(X)
         if self.aggregate == "single":
             return per_tree[0]
-        # Reference summation order: zeros, += tree-by-tree, / N.
-        out = np.zeros(per_tree.shape[1])
-        for t in range(per_tree.shape[0]):
-            out += per_tree[t]
-        return out / per_tree.shape[0]
+        # Reference summation order: zeros, += tree-by-tree, / N.  The
+        # accumulate adds tree by tree too; it starts at tree 0 instead
+        # of +0.0, and ``+ 0.0`` turns the one sum that can differ, an
+        # all -0.0 column, back into the reference's +0.0.
+        total = np.add.accumulate(per_tree, axis=0)[-1] + 0.0
+        return total / per_tree.shape[0]
 
 
 class _CompiledGBDT:
@@ -246,10 +219,10 @@ class _CompiledGBDT:
     def predict(self, X: np.ndarray) -> np.ndarray:
         per_tree = self.predict_per_tree(X)
         # Reference summation order: baseline, += lr * tree-by-tree.
-        out = np.full(per_tree.shape[1], self.baseline)
-        for t in range(per_tree.shape[0]):
-            out += self.learning_rate * per_tree[t]
-        return out
+        terms = np.empty((per_tree.shape[0] + 1, per_tree.shape[1]))
+        terms[0] = self.baseline
+        np.multiply(self.learning_rate, per_tree, out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
 
 class _CompiledLinear:

@@ -22,7 +22,10 @@ from .validation import (
     check_X_y,
 )
 
-__all__ = ["RandomForestRegressor"]
+__all__ = ["RandomForestRegressor", "fit_forests"]
+
+#: Exclusive bound of each tree's seed draw.
+_SEED_BOUND = int(np.iinfo(np.int32).max)
 
 
 class RandomForestRegressor(BaseEstimator, RegressorMixin):
@@ -52,10 +55,12 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
 
     Fitting grows every bag's tree at once, one depth per step
     (:func:`repro.learn.tree.fit_trees`), bit-identical to fitting the
-    trees one by one.  Prediction runs through the fused level-wise kernel
-    (:mod:`repro.learn.compiled`), bit-identical to the per-tree loop
-    it replaced; ``validate=False`` additionally skips input
-    re-validation for trusted callers (the serving engine).
+    trees one by one; :func:`fit_forests` grows many forests in the
+    same pass, and ``fit`` is its one-forest case.  Prediction runs
+    through the fused level-wise kernel (:mod:`repro.learn.compiled`),
+    bit-identical to the per-tree loop it replaced; ``validate=False``
+    additionally skips input re-validation for trusted callers (the
+    serving engine).
     """
 
     trusted_predict = True
@@ -93,6 +98,13 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         )
 
     def fit(self, X, y):
+        fit_forests([self], [X], [y])
+        return self
+
+    def _draw(self, X, y):
+        """Validate ``(X, y)`` and draw every tree's seed and bag: per
+        tree, its seed, then its bag, the order the draws have always
+        been made in.  Returns ``(X, y, trees, bags)``."""
         X, y = check_X_y(X, y, min_samples=2)
         if self.n_estimators < 1:
             raise ValueError(
@@ -102,21 +114,21 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
             raise ValueError("oob_score requires bootstrap=True.")
         rng = check_random_state(self.random_state)
         n_samples = X.shape[0]
-
-        # Per tree: its seed, then its bag, the order the draws have
-        # always been made in.
         trees, bags = [], []
         for _ in range(self.n_estimators):
-            seed = int(rng.integers(np.iinfo(np.int32).max))
+            seed = int(rng.integers(_SEED_BOUND))
             trees.append(self._make_tree(seed))
             bags.append(
                 rng.integers(0, n_samples, size=n_samples)
                 if self.bootstrap
                 else None
             )
-        fit_trees(trees, X, y, bags)
-        self.estimators_ = trees
+        return X, y, trees, bags
 
+    def _finish(self, X, y, trees, bags) -> None:
+        """Set the fitted attributes once ``trees`` are grown."""
+        n_samples = X.shape[0]
+        self.estimators_ = trees
         if self.oob_score:
             oob_sum = np.zeros(n_samples)
             oob_count = np.zeros(n_samples, dtype=np.intp)
@@ -143,7 +155,6 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
             importances / total if total > 0 else importances
         )
         self.n_features_in_ = X.shape[1]
-        return self
 
     def predict(self, X, *, validate: bool = True) -> np.ndarray:
         if validate:
@@ -185,3 +196,51 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
         # matrix — previously this re-ran every tree's Python descent.
         per_tree = ensemble_kernel(self).predict_per_tree(X)
         return np.quantile(per_tree, quantiles, axis=0).T
+
+
+def fit_forests(forests, Xs, ys) -> None:
+    """Fit ``forests[i]`` on ``(Xs[i], ys[i])`` for every ``i``.
+
+    Each forest ends up exactly as its own ``fit`` would leave it: its
+    seeds and bags come from its own ``random_state``, drawn in the
+    usual order.  Forests whose trees share every hyper-parameter and
+    the feature count grow in one :func:`~repro.learn.tree.fit_trees`
+    call: their rows are stacked and each bag is offset to its forest's
+    rows, so the level-wise grower makes one pass per depth for all of
+    them.  A node sees only its own rows, so a tree does not depend on
+    what it was grown beside.  Raises on the first forest whose data or
+    parameters are invalid, before any tree grows.
+    """
+    drawn = [forest._draw(X, y) for forest, X, y in zip(forests, Xs, ys)]
+    groups: dict[tuple, list[int]] = {}
+    for i, (forest, (X, *_)) in enumerate(zip(forests, drawn)):
+        key = (
+            forest.max_depth,
+            forest.min_samples_split,
+            forest.min_samples_leaf,
+            forest.max_features,
+            forest.min_impurity_decrease,
+            X.shape[1],
+        )
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        trees, bags, offset = [], [], 0
+        for i in members:
+            X, _, forest_trees, forest_bags = drawn[i]
+            n_samples = X.shape[0]
+            trees += forest_trees
+            bags += [
+                np.arange(offset, offset + n_samples)
+                if bag is None
+                else bag + offset
+                for bag in forest_bags
+            ]
+            offset += n_samples
+        fit_trees(
+            trees,
+            np.concatenate([drawn[i][0] for i in members]),
+            np.concatenate([drawn[i][1] for i in members]),
+            bags,
+        )
+    for forest, args in zip(forests, drawn):
+        forest._finish(*args)

@@ -351,17 +351,37 @@ def fit_trees(trees, X: np.ndarray, y: np.ndarray, bags) -> None:
         tree._install(structure, importances)
 
 
-def _node_stats(y_node: np.ndarray, y_sq_node: np.ndarray):
-    """``(value, impurity)`` of a node, with the reference's arithmetic.
+def _node_stats(y: np.ndarray, y_sq: np.ndarray, rows: np.ndarray, sizes):
+    """``(values, impurities)`` of consecutive nodes, with the
+    reference's arithmetic.
 
-    Both sums are ``ndarray.sum``'s own reduction over the node's
-    unpadded targets: numpy's pairwise summation blocks by length, so a
-    padded row sum is not bit-equal.  ``total / n`` is exactly what
-    ``ndarray.mean`` computes.
+    ``rows`` holds the nodes' sample indices back to back, ``sizes[i]``
+    of them for node ``i``.  Nodes of one size are gathered into an
+    ``(m, size)`` matrix and summed with one ``np.add.reduce(axis=1)``:
+    each contiguous row reduces with the same pairwise blocking as the
+    reference's 1-D ``ndarray.sum`` of that node (a padded row would
+    not, as the blocking depends on the length).  ``total / n`` is
+    exactly what ``ndarray.mean`` computes, and the mean is squared as
+    a Python float, whose ``** 2`` is the reference scalar's ``pow``
+    (an array's ``** 2`` is ``x * x``, which can differ in the last
+    bit).
     """
-    n = y_node.size
-    total = np.add.reduce(y_node)
-    return float(total / n), _node_impurity(total, np.add.reduce(y_sq_node), n)
+    values = np.empty(sizes.size)
+    impurities = np.empty(sizes.size)
+    starts = np.cumsum(sizes) - sizes
+    # A set, not np.unique: numpy's first np.unique call imports
+    # numpy.ma, ~15 ms of a served fleet's set-up.
+    for size in set(sizes.tolist()):
+        nodes = np.flatnonzero(sizes == size)
+        gathered = rows[starts[nodes, None] + np.arange(size)]
+        mean = np.add.reduce(y[gathered], axis=1) / size
+        sq_mean = np.add.reduce(y_sq[gathered], axis=1) / size
+        values[nodes] = mean
+        impurities[nodes] = [
+            max(sq - m**2, 0.0)
+            for sq, m in zip(sq_mean.tolist(), mean.tolist())
+        ]
+    return values, impurities
 
 
 def _best_splits(X, y, rows, n, node_sse, min_samples_leaf):
@@ -434,9 +454,12 @@ def _grow_level_wise(X, y, bags, params) -> list[tuple[Tree, np.ndarray]]:
     most ``_PASS_ELEMENTS`` padded values, so the working set does not
     grow with the forest.  Children keep their parent's sample order,
     so each node sees the rows in the order the reference gives it.
-    Node ids and importances are then assigned by replaying the
-    reference's LIFO stack, which makes the node tables, importances
-    and pickles equal to :func:`reference_fit`'s.
+    :func:`_number_trees` then numbers the nodes and adds up the
+    importances as the reference's LIFO stack does, which makes the
+    node tables, importances and pickles equal to :func:`reference_fit`'s.
+    The node statistics and the numbering take numpy steps per level
+    (and per node size), not per node, so one call can grow the trees
+    of many forests (:func:`repro.learn.forest.fit_forests`).
 
     Returns ``(tree, raw feature importances)`` per bag.
     """
@@ -446,47 +469,39 @@ def _grow_level_wise(X, y, bags, params) -> list[tuple[Tree, np.ndarray]]:
     min_samples_leaf = params.min_samples_leaf
     y_sq = y**2
 
-    # Node table in creation order; split nodes fill in feature,
+    # The node table, one level per depth in creation order: node ids,
+    # owning bags and node columns.  Split nodes fill in feature,
     # threshold, gain and left (their right child is left + 1).
-    value: list[float] = []
-    impurity: list[float] = []
-    n_node_samples: list[int] = []
-    feature: list[int] = []
-    threshold: list[float] = []
-    gain: list[float] = []
-    left: list[int] = []
+    levels: list[dict[str, np.ndarray]] = []
 
-    def add_nodes(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        first = len(value)
-        y_rows = y[rows]
-        y_sq_rows = y_sq[rows]
-        stop = 0
-        for size in sizes.tolist():
-            start, stop = stop, stop + size
-            node_value, node_impurity = _node_stats(
-                y_rows[start:stop], y_sq_rows[start:stop]
-            )
-            value.append(node_value)
-            impurity.append(node_impurity)
-        count = len(value) - first
-        n_node_samples.extend(sizes.tolist())
-        feature.extend([_LEAF] * count)
-        threshold.extend([np.nan] * count)
-        gain.extend([0.0] * count)
-        left.extend([_LEAF] * count)
-        return np.arange(first, first + count)
+    def add_level(rows, sizes, owner) -> dict[str, np.ndarray]:
+        first = levels[-1]["nodes"][-1] + 1 if levels else 0
+        count = sizes.size
+        value, impurity = _node_stats(y, y_sq, rows, sizes)
+        levels.append({
+            "nodes": np.arange(first, first + count),
+            "owner": owner,
+            "value": value,
+            "impurity": impurity,
+            "n_node_samples": sizes,
+            "feature": np.full(count, _LEAF, dtype=np.intp),
+            "threshold": np.full(count, np.nan),
+            "gain": np.zeros(count),
+            "left": np.full(count, _LEAF, dtype=np.intp),
+        })
+        return levels[-1]
 
-    # The frontier: node ids, owning bag, sizes and the concatenated
-    # sample indices of its nodes, in node order.
+    # The frontier: the last level's nodes, their owning bags, sizes
+    # and the concatenated sample indices of its nodes, in node order.
     sizes = np.array([bag.size for bag in bags])
     total_weight = sizes
     owner = np.arange(len(bags))
     rows = np.concatenate(bags)
-    nodes = add_nodes(rows, sizes)
+    level = add_level(rows, sizes, owner)
     depth = 0
-    while nodes.size and depth < max_depth:
-        # The frontier is always the last nodes added.
-        node_impurity = np.asarray(impurity[nodes[0] :])
+    while sizes.size and depth < max_depth:
+        nodes = level["nodes"]
+        node_impurity = level["impurity"]
         node_sse = node_impurity * sizes
         starts = np.cumsum(sizes) - sizes
         best_feature = np.full(nodes.size, _LEAF)
@@ -499,7 +514,7 @@ def _grow_level_wise(X, y, bags, params) -> list[tuple[Tree, np.ndarray]]:
             & ~(node_impurity <= 0.0)
         )
         log_width = np.ceil(np.log2(sizes[splittable])).astype(np.intp)
-        for exponent in np.unique(log_width).tolist():
+        for exponent in sorted(set(log_width.tolist())):
             width = 1 << exponent
             bucket = splittable[log_width == exponent]
             per_pass = max(1, _PASS_ELEMENTS // (n_features * width))
@@ -542,56 +557,84 @@ def _grow_level_wise(X, y, bags, params) -> list[tuple[Tree, np.ndarray]]:
         parents = np.flatnonzero(split)
         sizes = np.column_stack((n_left[parents], n_right[parents])).ravel()
         owner = np.repeat(owner[parents], 2)
-        children = add_nodes(rows, sizes)
-        for node, feat, thresh, node_gain, child in zip(
-            nodes[parents].tolist(),
-            best_feature[parents].tolist(),
-            best_threshold[parents].tolist(),
-            best_gain[parents].tolist(),
-            children[::2].tolist(),
-        ):
-            feature[node] = feat
-            threshold[node] = thresh
-            gain[node] = node_gain
-            left[node] = child
-        nodes = children
+        children = add_level(rows, sizes, owner)
+        level["feature"][parents] = best_feature[parents]
+        level["threshold"][parents] = best_threshold[parents]
+        level["gain"][parents] = best_gain[parents]
+        level["left"][parents] = children["nodes"][::2]
+        level = children
         depth += 1
 
+    return _number_trees(levels, n_features)
+
+
+def _number_trees(levels, n_features):
+    """Split the level-wise node table into one :class:`Tree` per bag,
+    numbered as :func:`reference_fit` numbers nodes.
+
+    The reference pops nodes off a LIFO stack: a popped split node's
+    children get the next two ids and the right one pops first.  So
+    the ``k``-th split node popped has children ``2k + 1`` (left) and
+    ``2k + 2`` (right), and ``k`` counts the split nodes that come
+    before it in a right-first preorder: the right child follows its
+    parent, the left child follows the parent's whole right subtree.
+    ``levels[d]`` holds the nodes created at depth ``d``; children
+    always sit one level below their parent, so both counts take one
+    numpy step per level.  Importances add each tree's gains in pop
+    order, as the reference does.  ``levels`` is emptied as it is
+    concatenated, so the fit's peak memory holds one node table.
+    """
     tables = {
-        "feature": np.asarray(feature, dtype=np.intp),
-        "threshold": np.asarray(threshold, dtype=np.float64),
-        "value": np.asarray(value, dtype=np.float64),
-        "n_node_samples": np.asarray(n_node_samples, dtype=np.intp),
-        "impurity": np.asarray(impurity, dtype=np.float64),
+        name: np.concatenate([level[name] for level in levels])
+        for name in levels[0]
+        if name != "nodes"
     }
-    left_table = np.asarray(left, dtype=np.intp)
-    final_id = np.empty(len(value), dtype=np.intp)
+    owner, gain, left = (tables.pop(key) for key in ("owner", "gain", "left"))
+    is_split = left != _LEAF
+    n_trees = levels[0]["owner"].size
+    node_ids = [level["nodes"] for level in levels]
+    levels.clear()
+    splits_below = is_split.astype(np.intp)
+    for nodes in reversed(node_ids):
+        parents = nodes[is_split[nodes]]
+        child = left[parents]
+        splits_below[parents] += splits_below[child] + splits_below[child + 1]
+    rank = np.zeros(left.size, dtype=np.intp)
+    final_id = np.zeros(left.size, dtype=np.intp)
+    for nodes in node_ids:
+        parents = nodes[is_split[nodes]]
+        child = left[parents]
+        rank[child + 1] = rank[parents] + 1
+        rank[child] = rank[parents] + 1 + splits_below[child + 1]
+        final_id[child] = 2 * rank[parents] + 1
+        final_id[child + 1] = 2 * rank[parents] + 2
+
+    popped = np.flatnonzero(is_split)
+    popped = popped[np.lexsort((rank[popped], owner[popped]))]
+    # bincount adds in input order from 0.0; adding that into zeros is
+    # exact and keeps the array's dtype instance, which pickles the
+    # same way as the reference's np.zeros.
+    importances = np.zeros(n_trees * n_features)
+    importances += np.bincount(
+        owner[popped] * n_features + tables["feature"][popped],
+        weights=gain[popped],
+        minlength=n_trees * n_features,
+    )
+    importances = importances.reshape(n_trees, n_features)
+
+    order = np.lexsort((final_id, owner))
+    tables["children_left"] = np.where(is_split, final_id[left], _LEAF)
+    tables["children_right"] = np.where(is_split, final_id[left + 1], _LEAF)
+    columns = {name: tables.pop(name)[order] for name in list(tables)}
+    ends = np.cumsum(np.bincount(owner, minlength=n_trees)).tolist()
     grown = []
-    for root in range(len(bags)):
-        # Replay the reference's depth-first stack: a split node's
-        # children get the next two ids and the right one pops first.
-        order = [root]
-        importances = np.zeros(n_features)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            feat = feature[node]
-            if feat == _LEAF:
-                continue
-            importances[feat] += gain[node]
-            child = left[node]
-            order += (child, child + 1)
-            stack += (child, child + 1)
-        order = np.asarray(order, dtype=np.intp)
-        final_id[order] = np.arange(order.size)
+    begin = 0
+    for bag, end in enumerate(ends):
         tree = Tree()
-        child = left_table[order]
-        is_split = child != _LEAF
-        tree.children_left = np.where(is_split, final_id[child], _LEAF)
-        tree.children_right = np.where(is_split, final_id[child + 1], _LEAF)
-        for name, table in tables.items():
-            setattr(tree, name, table[order])
-        grown.append((tree, importances))
+        for name, column in columns.items():
+            setattr(tree, name, column[begin:end])
+        grown.append((tree, importances[bag]))
+        begin = end
     return grown
 
 

@@ -34,6 +34,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -387,6 +388,8 @@ def lifecycle_kill_drill(
     health; acknowledged journal records survived; and every journaled
     promotion whose artifact is still stored is reinstalled such that
     the in-memory champion predicts identically to the stored version.
+    Each recovery runs on its own copy of ``work_dir/state``, which is
+    left exactly as the killed worker left it.
     """
     from ..durability.drill import run_killed_worker
 
@@ -407,10 +410,18 @@ def lifecycle_kill_drill(
     )
     state_dir = Path(work_dir) / "state"
 
+    def recover_copy(name: str, *, with_store: bool):
+        # Each pass recovers its own copy of what the dead worker left
+        # (a recovery closes with a checkpoint), so the passes are
+        # independent and ``state/`` stays as killed, for
+        # ``repro recover --dry-run`` to inspect.
+        copy_dir = Path(work_dir) / name
+        shutil.copytree(state_dir, copy_dir)
+        return _recover_stack(copy_dir, with_store=with_store)
+
     # Artifact-integrity pass first: reads of promoted vehicles reload
-    # stored versions (frozen champions never retrain), so the shared
-    # model store is not advanced.
-    engine, _, manager = _recover_stack(state_dir, with_store=True)
+    # stored versions (frozen champions never retrain).
+    engine, _, manager = recover_copy("recovered-artifacts", with_store=True)
     service = engine.service
     last_seq = manager.journal.last_seq
     acked_survived = last_seq >= durable_acked
@@ -448,8 +459,8 @@ def lifecycle_kill_drill(
     # Determinism pass: two independent store-less recoveries must agree
     # bit-for-bit (forecasts, lifecycle log, health).
     snapshots = []
-    for _ in range(2):
-        engine, _, manager = _recover_stack(state_dir, with_store=False)
+    for i in range(2):
+        engine, _, manager = recover_copy(f"recovered-{i}", with_store=False)
         service = engine.service
         ready = [
             vid

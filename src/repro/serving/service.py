@@ -31,7 +31,7 @@ import numpy as np
 from ..core.categorize import VehicleCategory, categorize_usage
 from ..core.coldstart import first_cycle_dataset
 from ..core.cycles import IncrementalSeriesState
-from ..core.predictors import BaselinePredictor
+from ..core.predictors import BaselinePredictor, can_fuse, fit_predictors
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
 from ..obs import NULL_STAGE, Observability, tracing
@@ -194,6 +194,22 @@ def _uni_scope(donor_ids: frozenset[str]) -> str:
     return f"uni:{hashlib.blake2b(joined, digest_size=8).hexdigest()}"
 
 
+class _Fit:
+    """One model-table row a read batch must train: its scope and
+    freshness key, a fresh predictor and a ``data()`` callable that
+    builds ``(dataset, fit kwargs)``.  Routing queues it; until the
+    batch's fused pass (:meth:`MaintenancePredictionService._train`)
+    sets ``entry`` or ``error``, it stands in for the row."""
+
+    __slots__ = ("scope", "key", "predictor", "data", "entry", "error")
+
+    def __init__(self, scope: str, key, predictor, data):
+        self.scope, self.key = scope, key
+        self.predictor, self.data = predictor, data
+        self.entry: ModelEntry | None = None
+        self.error: Exception | None = None
+
+
 @dataclass
 class _VehicleState:
     usage: _UsageBuffer = field(default_factory=_UsageBuffer)
@@ -290,8 +306,9 @@ class _FleetIndex:
 
 class _Plan:
     """One vehicle's trip through :meth:`MaintenancePredictionService.
-    predict_batch`: its feature row, the ladder rung it routed to, the
-    fallback reasons collected on the way, and the prediction."""
+    predict_batch`: its feature row, the ladder rung it routed to and
+    that rung's row (a queued :class:`_Fit` until the batch trains it),
+    the fallback reasons collected on the way, and the prediction."""
 
     __slots__ = (
         "vehicle_id",
@@ -338,7 +355,8 @@ class MaintenancePredictionService:
     ``uni:<donor-set digest>`` (the Model_Uni of one donor set).
     Only writers install rows: the lazy fits and store reloads that
     routing asks for (:meth:`_ensure_vehicle_model`,
-    :meth:`_similarity_model`, :meth:`_ensure_unified_model`),
+    :meth:`_similarity_model`, :meth:`_ensure_unified_model`; the fits
+    are queued and grown together by :meth:`_train`),
     :meth:`install_model`, :meth:`apply_lifecycle_event` and
     :meth:`load_state_dict`.  :meth:`_forecast` reads the row its
     vehicle was routed to, and lifecycle code reads a vehicle's row
@@ -444,6 +462,9 @@ class MaintenancePredictionService:
         self._index = _FleetIndex()
         #: The model table: serving scope -> installed :class:`ModelEntry`.
         self._models: dict[str, ModelEntry] = {}
+        #: Rows the current read batch must train, by scope, in the
+        #: order routing asked for them.
+        self._queued: dict[str, _Fit] = {}
         #: Compiled-kernel cache of the predict path, keyed by serving
         #: scope and weakly on the live model.
         self.kernel_cache = CompiledModelCache()
@@ -670,12 +691,12 @@ class MaintenancePredictionService:
             self._persist_failures += 1
             return None
 
-    def _fit_vehicle_model(self, vehicle_id: str):
-        """A fresh per-vehicle model fitted on the vehicle's history.
+    def _vehicle_dataset(self, vehicle_id: str):
+        """``(dataset, fit kwargs)`` of a per-vehicle model.
 
-        The one per-vehicle fit: lazy training and lifecycle
-        challengers both call it.  It installs and persists nothing,
-        and raises ``ValueError`` while the vehicle has no labeled
+        The one per-vehicle training set: every per-vehicle fit, queued
+        by a read or asked for by a lifecycle challenger, builds it
+        here.  Raises ``ValueError`` while the vehicle has no labeled
         records.
         """
         series = self.series(vehicle_id)
@@ -684,13 +705,122 @@ class MaintenancePredictionService:
             raise ValueError(
                 f"Vehicle {vehicle_id!r} has no labeled records yet."
             )
+        return dataset, {"usage": series.usage}
+
+    def _fit_vehicle_model(self, vehicle_id: str):
+        """A fresh per-vehicle model fitted on the vehicle's history,
+        for lifecycle challengers; it installs and persists nothing."""
+        dataset, kwargs = self._vehicle_dataset(vehicle_id)
         predictor = self._make_predictor(self.algorithm)
-        predictor.fit(dataset, usage=series.usage)
+        predictor.fit(dataset, **kwargs)
         return predictor
 
-    def _ensure_vehicle_model(self, vehicle_id: str) -> ModelEntry:
+    def _request_fit(self, scope: str, key, data):
+        """The row ``scope`` routing needs trained.
+
+        A predictor that can fuse (:func:`~repro.core.predictors.
+        can_fuse`) is queued once per scope for the batch's fused pass,
+        and the queued :class:`_Fit` is returned.  Any other predictor
+        trains and installs here, at once, so its fits keep the order
+        routing asks for them in; a failure raises.
+        """
+        fit = self._queued.get(scope)
+        if fit is not None:
+            return fit
+        fit = _Fit(scope, key, self._make_predictor(self.algorithm), data)
+        if can_fuse(fit.predictor):
+            self._queued[scope] = fit
+            return fit
+        self._train([fit])
+        if fit.error is not None:
+            raise fit.error
+        return fit.entry
+
+    def _train(self, fits: list[_Fit]) -> None:
+        """Fit and install ``fits``, setting ``entry`` or ``error`` on
+        each.
+
+        Training data is built in order; the predictors that can fuse
+        grow in one pass and the rest fit alone, in order
+        (:func:`~repro.core.predictors.fit_predictors`).  Rows install
+        (per-vehicle ones persisted) in ``fits`` order.  Without a
+        breaker the first failure raises there, after the rows before
+        it installed.
+        """
+        built = []
+        for fit in fits:
+            try:
+                built.append((fit, *fit.data()))
+            except Exception as exc:
+                fit.error = exc
+        with self._stage("train", models=len(built)):
+            errors = fit_predictors(
+                [fit.predictor for fit, _, _ in built],
+                [dataset for _, dataset, _ in built],
+                [kwargs for _, _, kwargs in built],
+            )
+        for (fit, _, _), error in zip(built, errors):
+            fit.error = error
+        for fit in fits:
+            if fit.error is None:
+                fit.entry = self._install_fit(fit)
+            elif self.breaker is None:
+                raise fit.error
+
+    def _install_fit(self, fit: _Fit) -> ModelEntry:
+        """Install a trained row; a per-vehicle champion is persisted."""
+        kind, _, name = fit.scope.partition(":")
+        predictor = fit.predictor
+        if kind == "per-vehicle":
+            return self.install_model(
+                name,
+                predictor,
+                trained_cycles=fit.key,
+                version=self._persist(
+                    f"{name}.per-vehicle",
+                    predictor,
+                    strategy="per-vehicle",
+                    trained_cycles=fit.key,
+                ),
+            )
+        if kind == "uni":
+            # Keep only the pools routing can still ask for: the full
+            # pool and the full pool less one OLD vehicle.
+            full = self._index.donor_ids
+            for old_scope, old in list(self._models.items()):
+                if old_scope.startswith("uni:") and not (
+                    old.key <= full and len(full) - len(old.key) <= 1
+                ):
+                    del self._models[old_scope]
+                    self.kernel_cache.invalidate(old_scope)
+        self._models[fit.scope] = entry = ModelEntry(predictor, fit.key)
+        return entry
+
+    def _train_queued(self, plans: list[_Plan]) -> None:
+        """Train the rows routing queued for ``plans`` in one fused pass
+        per round.
+
+        Plans whose row failed are charged the failure and re-routed one
+        rung down, which may queue more rows; rounds repeat until
+        nothing is queued.
+        """
+        while self._queued:
+            fits, self._queued = list(self._queued.values()), {}
+            waiting = [plan for plan in plans if isinstance(plan.entry, _Fit)]
+            self._train(fits)
+            for plan in waiting:
+                fit = plan.entry
+                if fit.error is None:
+                    plan.entry = fit.entry
+                    continue
+                with tracing.activate(plan.span):
+                    self._rung_failed(plan, fit.error)
+                    self._route(plan, plan.rung + 1)
+
+    def _ensure_vehicle_model(self, vehicle_id: str) -> ModelEntry | _Fit:
         """The vehicle's ``per-vehicle`` row, retrained when a new cycle
-        has completed.
+        has completed (a queued :class:`_Fit` until the batch trains
+        it, see :meth:`_request_fit`).
 
         The one place that decides a per-vehicle model is stale: every
         read that routes a vehicle to its own model asks here.  Besides
@@ -733,18 +863,8 @@ class MaintenancePredictionService:
             not self.retrain_on_cycle or entry.key == n_cycles
         ):
             return entry
-        with self._stage("train", strategy="per-vehicle", vehicle_id=vehicle_id):
-            predictor = self._fit_vehicle_model(vehicle_id)
-        return self.install_model(
-            vehicle_id,
-            predictor,
-            trained_cycles=n_cycles,
-            version=self._persist(
-                f"{vehicle_id}.per-vehicle",
-                predictor,
-                strategy="per-vehicle",
-                trained_cycles=n_cycles,
-            ),
+        return self._request_fit(
+            scope, n_cycles, partial(self._vehicle_dataset, vehicle_id)
         )
 
     def _ensure_unified_model(self, exclude: str | None = None):
@@ -762,23 +882,14 @@ class MaintenancePredictionService:
         if entry is not None and entry.key == donor_ids:
             return entry, scope
         donors = [s for vid, s in index.donors.items() if vid in donor_ids]
-        with self._stage("train", strategy="unified", donors=len(donors)):
+
+        def data():
             merged = RelationalDataset.concatenate(
                 [first_cycle_dataset(s, self.window) for s in donors]
             )
-            predictor = self._make_predictor(self.algorithm)
-            predictor.fit(merged)
-        # Keep only the pools routing can still ask for: the full pool
-        # and the full pool less one OLD vehicle.
-        full = index.donor_ids
-        for old_scope, old in list(self._models.items()):
-            if old_scope.startswith("uni:") and not (
-                old.key <= full and len(full) - len(old.key) <= 1
-            ):
-                del self._models[old_scope]
-                self.kernel_cache.invalidate(old_scope)
-        entry = self._models[scope] = ModelEntry(predictor, donor_ids)
-        return entry, scope
+            return merged, {}
+
+        return self._request_fit(scope, donor_ids, data), scope
 
     def _similarity_model(self, vehicle_id: str):
         """``(Model_Sim row, donor id, scope)`` for one semi-new vehicle;
@@ -817,18 +928,14 @@ class MaintenancePredictionService:
         entry = self._models.get(scope)
         if entry is None:
             donor = index.donors[donor_id]
-            with self._stage(
-                "train",
-                strategy="similarity",
-                vehicle_id=vehicle_id,
-                donor=donor_id,
-            ):
-                predictor = self._make_predictor(self.algorithm)
-                predictor.fit(
+            entry = self._request_fit(
+                scope,
+                donor_id,
+                lambda: (
                     first_cycle_dataset(donor, self.window),
-                    usage=donor.usage[: donor.first_cycle().end + 1],
-                )
-            entry = self._models[scope] = ModelEntry(predictor, donor_id)
+                    {"usage": donor.usage[: donor.first_cycle().end + 1]},
+                ),
+            )
         return entry, donor_id, scope
 
     def _baseline_model(self, vehicle_id: str):
@@ -1004,7 +1111,8 @@ class MaintenancePredictionService:
 
     def _rung_model(self, strategy: str, vehicle_id: str):
         """``(model-table row, donor_id, scope)`` for one ladder rung; a
-        ``None`` row means the rung has no donors yet."""
+        ``None`` row means the rung has no donors yet, a :class:`_Fit`
+        that the batch still has to train it."""
         if strategy == "per-vehicle":
             entry = self._ensure_vehicle_model(vehicle_id)
             return entry, None, f"per-vehicle:{vehicle_id}"
@@ -1171,11 +1279,14 @@ class MaintenancePredictionService:
         The one prediction pipeline, in three steps:
 
         1. route every vehicle through the Section-4 matrix in input
-           order (training and model caches exactly as consecutive
-           single predictions would), the breaker ladder included;
+           order, the breaker ladder included; a row that must train
+           is queued once per scope, and the queue then trains in one
+           fused forest pass (:meth:`_train_queued`), installing rows
+           in the order consecutive single predictions would;
         2. group the vehicles by the *model object* they routed to and
            make one kernel call per group; with a breaker, a failed
-           call re-routes its vehicles one rung down and repeats;
+           train or call re-routes its vehicles one rung down and
+           repeats;
         3. record pending forecasts and build the :class:`Forecast`
            objects in input order.
 
@@ -1192,13 +1303,17 @@ class MaintenancePredictionService:
         """
         ids = list(vehicle_ids)
         with self._stage("predict", vehicles=len(ids)):
-            plans = [
-                self._plan(vehicle_id, None if spans is None else spans[i])
-                for i, vehicle_id in enumerate(ids)
-            ]
-            pending = plans
-            while pending:
-                pending = self._run_kernels(pending)
+            try:
+                plans = [
+                    self._plan(vehicle_id, None if spans is None else spans[i])
+                    for i, vehicle_id in enumerate(ids)
+                ]
+                pending = plans
+                while pending:
+                    self._train_queued(pending)
+                    pending = self._run_kernels(pending)
+            finally:
+                self._queued = {}
             return [self._forecast(plan) for plan in plans]
 
     # -- health ----------------------------------------------------------------

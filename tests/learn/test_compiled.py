@@ -9,7 +9,7 @@ reference predictions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.predictors import BaselinePredictor, RegressionPredictor
@@ -124,6 +124,42 @@ class TestCompiledVsReference:
             X, y
         )
         assert_bit_identical(gb.predict(probe), reference_predict(gb, probe))
+
+    @settings(max_examples=60, deadline=None)
+    @example(leaves=[[-0.0, 1.5]] * 3)
+    @given(
+        leaves=st.integers(min_value=1, max_value=9).flatmap(
+            lambda rows: st.lists(
+                st.lists(
+                    st.sampled_from((-0.0, 0.0, 0.1, 0.2, -0.3, 1.5, -1.5)),
+                    min_size=rows,
+                    max_size=rows,
+                ),
+                min_size=1,
+                max_size=70,
+            )
+        )
+    )
+    def test_ensemble_sum_with_signed_zeros_and_ties(self, leaves):
+        # The kernels sum a (trees, rows) leaf matrix; the reference
+        # adds tree by tree, from +0.0 (forest) or the baseline (GBDT).
+        # An all -0.0 column must still sum to +0.0, and ties in the
+        # addends must keep the reference's rounding order.
+        per_tree = np.array(leaves)
+        X, y = _dataset(0, 20, 2)
+        forest = compile_model(_make_estimator("forest", 3).fit(X, y))
+        gbdt = compile_model(_make_estimator("gbdt", 3).fit(X, y))
+        forest.predict_per_tree = gbdt.predict_per_tree = lambda _X: per_tree
+        trees_sum = np.zeros(per_tree.shape[1])
+        boosted = np.full(per_tree.shape[1], gbdt.baseline)
+        for row in per_tree:
+            trees_sum += row
+            boosted += gbdt.learning_rate * row
+        probe = X[: per_tree.shape[1]]
+        assert_bit_identical(
+            forest.predict(probe), trees_sum / per_tree.shape[0]
+        )
+        assert_bit_identical(gbdt.predict(probe), boosted)
 
     def test_batch_rows_equal_single_rows(self):
         # batch_safe kernels must be bitwise row-separable: stacking

@@ -1,8 +1,11 @@
 """Lifecycle decisions must survive crashes and replay idempotently."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.lifecycle.drill import (
     _recover_stack,
     apply_lifecycle_op,
@@ -156,3 +159,21 @@ class TestKillDrill:
         assert report["last_seq"] >= report["durable_acked"]
         failed = [c["name"] for c in report["checks"] if not c["ok"]]
         assert failed == []
+
+    def test_drill_leaves_the_killed_state(self, tmp_path, capsys):
+        # Killed mid-sweep between two checkpoints (the drill
+        # checkpoints every 48 records; seed 0's default kill point
+        # lands on one), ``state/`` keeps journal records past its last
+        # checkpoint and the dead worker's lock, because every
+        # recovery ran on a copy.
+        report = lifecycle_kill_drill(
+            tmp_path / "drill", seed=0, kill_after=250
+        )
+        assert report["ok"], report
+        argv = ["recover", "--state", str(tmp_path / "drill" / "state"),
+                "--dry-run", "--json"]
+        assert main(argv) == 0
+        dry = json.loads(capsys.readouterr().out)
+        assert dry["replay_needed"] > 0
+        assert dry["checkpoint"]["seq"] < report["last_seq"]
+        assert dry["lock"] is not None and not dry["lock"]["alive"]

@@ -271,12 +271,12 @@ class TestTrainingFailureChaos:
             engine.ingest_day({v: 20_000.0 for v in ids})
 
         failing = {"v1", "v2"}
-        fit = service._fit_vehicle_model
+        build = service._vehicle_dataset
 
-        def faulty_fit(vehicle_id):
+        def faulty_build(vehicle_id):
             if vehicle_id in failing:
                 raise InjectedFault(f"train {vehicle_id}")
-            return fit(vehicle_id)
+            return build(vehicle_id)
 
         installed = []
         install = service.install_model
@@ -285,7 +285,7 @@ class TestTrainingFailureChaos:
             installed.append(vehicle_id)
             return install(vehicle_id, *args, **kwargs)
 
-        monkeypatch.setattr(service, "_fit_vehicle_model", faulty_fit)
+        monkeypatch.setattr(service, "_vehicle_dataset", faulty_build)
         monkeypatch.setattr(service, "install_model", recording_install)
         forecasts = {f.vehicle_id: f for f in engine.predict_all()}
         assert installed == sorted(set(ids) - failing)

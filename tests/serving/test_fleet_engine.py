@@ -42,15 +42,16 @@ def build_serial(usage_map, **kwargs) -> MaintenancePredictionService:
 
 
 def count_fits(service) -> list[str]:
-    """The ids passed to each per-vehicle fit of ``service`` from now on."""
+    """The ids of each per-vehicle fit of ``service`` from now on: every
+    such fit builds its training set once, through ``_vehicle_dataset``."""
     fits = []
-    fit = service._fit_vehicle_model
+    build = service._vehicle_dataset
 
-    def counted_fit(vehicle_id):
+    def counted_build(vehicle_id):
         fits.append(vehicle_id)
-        return fit(vehicle_id)
+        return build(vehicle_id)
 
-    service._fit_vehicle_model = counted_fit
+    service._vehicle_dataset = counted_build
     return fits
 
 

@@ -112,13 +112,13 @@ class TestNoFleetScanOnRead:
         assert set(service._vehicles.seen) == {"old0"}
 
         fits = []
-        fit = service._fit_vehicle_model
+        build = service._vehicle_dataset
 
-        def counted_fit(vehicle_id):
+        def counted_build(vehicle_id):
             fits.append(vehicle_id)
-            return fit(vehicle_id)
+            return build(vehicle_id)
 
-        monkeypatch.setattr(service, "_fit_vehicle_model", counted_fit)
+        monkeypatch.setattr(service, "_vehicle_dataset", counted_build)
         cycles = len(service.series("old1").completed_cycles)
         for _ in range(10):  # 200 000 s more: old1 completes a cycle
             service.ingest("old1", 20_000.0)

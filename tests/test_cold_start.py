@@ -131,3 +131,30 @@ def test_linear_svr_fit_matches_in_process_fit():
     assert [float.fromhex(c) for c in report["coef"]] == model.coef_.tolist()
     assert float.fromhex(report["intercept"]) == model.intercept_
     assert report["n_iter"] == model.n_iter_
+
+
+def test_repro_loads_subpackages_on_first_use():
+    report = run_fresh(
+        """
+        import json
+        import sys
+
+        from repro import cli
+
+        after_cli = sorted(
+            name for name in ("repro.context", "repro.telemetry")
+            if name in sys.modules
+        )
+        import repro
+
+        context = repro.context
+        print(json.dumps({
+            "after_cli": after_cli,
+            "context": context.__name__,
+            "loaded": "repro.context" in sys.modules,
+        }))
+        """
+    )
+    assert report["after_cli"] == []
+    assert report["context"] == "repro.context"
+    assert report["loaded"]
