@@ -321,7 +321,14 @@ def compile_model(model):
     reference model's ``predict`` on the same ``X``; kernels with
     ``batch_safe = True`` additionally guarantee that row ``i`` of a
     stacked batch equals the single-row prediction of row ``i``.
+
+    Forests, boosting models and :class:`RegressionPredictor` return
+    the kernel cached for their current fit, the same object their own
+    ``predict`` uses; the cheap kernels are built on each call.
     """
+    kernel = _warm_kernel(model)
+    if kernel is not None:
+        return kernel
     # Imports are local: these modules import this one for their own
     # fused predict paths, so a module-level import would be circular.
     from ..core.predictors import BaselinePredictor, RegressionPredictor
@@ -333,19 +340,18 @@ def compile_model(model):
 
     if isinstance(model, RegressionPredictor):
         _require_fitted(model, "model_")
-        return _CompiledPredictor(
-            compile_model(model.model_), model.clip_negative
+        clip = model.clip_negative
+        return _cached_kernel(
+            model,
+            "model_",
+            lambda inner: _CompiledPredictor(compile_model(inner), clip),
         )
     if isinstance(model, BaselinePredictor):
         _require_fitted(model, "average_")
         return _CompiledBaseline(model.average_)
     if isinstance(model, RandomForestRegressor):
         _require_fitted(model, "estimators_")
-        return _CompiledTrees(
-            [tree.tree_ for tree in model.estimators_],
-            model.n_features_in_,
-            aggregate="mean",
-        )
+        return ensemble_kernel(model)
     if isinstance(model, DecisionTreeRegressor):
         _require_fitted(model, "tree_")
         return _CompiledTrees(
@@ -353,7 +359,7 @@ def compile_model(model):
         )
     if isinstance(model, HistGradientBoostingRegressor):
         _require_fitted(model, "estimators_")
-        return _CompiledGBDT(model)
+        return gbdt_kernel(model)
     if isinstance(model, Pipeline):
         _require_fitted(model, "fitted_")
         stages = []
@@ -387,22 +393,38 @@ def try_compile(model):
         return None
 
 
-# -- per-estimator kernel cache ---------------------------------------------
+# -- kernel cache ------------------------------------------------------------
 #
-# Fitted ensembles cache their compiled kernel here, keyed on the
-# estimator instance (weakly, so pickled artifacts never carry the
-# flattened tables) and tokened on the identity of ``estimators_`` —
-# a refit rebuilds that list, which invalidates the kernel.
+# The one cache of compiled kernels.  An entry is keyed weakly on the
+# model it was compiled from (pickled artifacts never carry the
+# flattened tables, and a collected model drops its entry) and tokened
+# on the model's fitted state itself: ``estimators_`` for an ensemble,
+# ``model_`` for a predictor wrapper.  Every fit assigns a fresh one.
+# The entry holds its token strongly, so the ``is`` check cannot be
+# fooled by a refit that reuses a freed object's address.  A kernel
+# never references the model it was compiled from, or the weak entry
+# would keep its own key alive.
 
 _KERNELS: "WeakKeyDictionary" = WeakKeyDictionary()
 
 
-def _cached_kernel(estimator, token, build):
-    entry = _KERNELS.get(estimator)
-    if entry is not None and entry[0] == token:
-        return entry[1]
-    kernel = build()
-    _KERNELS[estimator] = (token, kernel)
+def _warm_kernel(model):
+    """The kernel cached for ``model``'s current fit, or ``None``."""
+    try:
+        attribute, state, kernel = _KERNELS[model]
+    except (KeyError, TypeError):  # not cached, or not weakly referable
+        return None
+    return kernel if getattr(model, attribute) is state else None
+
+
+def _cached_kernel(model, attribute, build):
+    """``model``'s cached kernel, built as ``build(state)`` from its
+    fitted state ``getattr(model, attribute)`` on a miss."""
+    kernel = _warm_kernel(model)
+    if kernel is None:
+        state = getattr(model, attribute)
+        kernel = build(state)
+        _KERNELS[model] = (attribute, state, kernel)
     return kernel
 
 
@@ -410,9 +432,9 @@ def ensemble_kernel(forest) -> _CompiledTrees:
     """The (cached) fused kernel for a fitted random forest."""
     return _cached_kernel(
         forest,
-        id(forest.estimators_),
-        lambda: _CompiledTrees(
-            [tree.tree_ for tree in forest.estimators_],
+        "estimators_",
+        lambda trees: _CompiledTrees(
+            [tree.tree_ for tree in trees],
             forest.n_features_in_,
             aggregate="mean",
         ),
@@ -422,9 +444,7 @@ def ensemble_kernel(forest) -> _CompiledTrees:
 def gbdt_kernel(estimator) -> _CompiledGBDT:
     """The (cached) fused kernel for a fitted boosting model."""
     return _cached_kernel(
-        estimator,
-        id(estimator.estimators_),
-        lambda: _CompiledGBDT(estimator),
+        estimator, "estimators_", lambda _: _CompiledGBDT(estimator)
     )
 
 

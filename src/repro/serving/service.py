@@ -31,7 +31,7 @@ import numpy as np
 from ..core.categorize import VehicleCategory, categorize_usage
 from ..core.coldstart import first_cycle_dataset
 from ..core.cycles import IncrementalSeriesState
-from ..core.predictors import BaselinePredictor, can_fuse, fit_predictors
+from ..core.predictors import BaselinePredictor, fit_predictors
 from ..core.registry import make_predictor
 from ..core.series import VehicleSeries
 from ..obs import NULL_STAGE, Observability, tracing
@@ -360,8 +360,7 @@ class MaintenancePredictionService:
     :meth:`install_model`, :meth:`apply_lifecycle_event` and
     :meth:`load_state_dict`.  :meth:`_forecast` reads the row its
     vehicle was routed to, and lifecycle code reads a vehicle's row
-    through :meth:`champion`.  A row's scope and key are also its
-    :attr:`kernel_cache` scope and version token.
+    through :meth:`champion`.
 
     Parameters
     ----------
@@ -465,8 +464,7 @@ class MaintenancePredictionService:
         #: Rows the current read batch must train, by scope, in the
         #: order routing asked for them.
         self._queued: dict[str, _Fit] = {}
-        #: Compiled-kernel cache of the predict path, keyed by serving
-        #: scope and weakly on the live model.
+        #: Kernel lookup and batch-shape counters of the predict path.
         self.kernel_cache = CompiledModelCache()
         self._persist_lock = threading.Lock()
         self._fallback_counts: dict[str, Counter] = {}
@@ -715,26 +713,15 @@ class MaintenancePredictionService:
         predictor.fit(dataset, **kwargs)
         return predictor
 
-    def _request_fit(self, scope: str, key, data):
-        """The row ``scope`` routing needs trained.
-
-        A predictor that can fuse (:func:`~repro.core.predictors.
-        can_fuse`) is queued once per scope for the batch's fused pass,
-        and the queued :class:`_Fit` is returned.  Any other predictor
-        trains and installs here, at once, so its fits keep the order
-        routing asks for them in; a failure raises.
-        """
+    def _request_fit(self, scope: str, key, data) -> _Fit:
+        """The row ``scope`` routing needs trained, queued once per
+        scope for the batch's training pass (:meth:`_train_queued`)."""
         fit = self._queued.get(scope)
-        if fit is not None:
-            return fit
-        fit = _Fit(scope, key, self._make_predictor(self.algorithm), data)
-        if can_fuse(fit.predictor):
-            self._queued[scope] = fit
-            return fit
-        self._train([fit])
-        if fit.error is not None:
-            raise fit.error
-        return fit.entry
+        if fit is None:
+            fit = self._queued[scope] = _Fit(
+                scope, key, self._make_predictor(self.algorithm), data
+            )
+        return fit
 
     def _train(self, fits: list[_Fit]) -> None:
         """Fit and install ``fits``, setting ``entry`` or ``error`` on
@@ -792,7 +779,6 @@ class MaintenancePredictionService:
                     old.key <= full and len(full) - len(old.key) <= 1
                 ):
                     del self._models[old_scope]
-                    self.kernel_cache.invalidate(old_scope)
         self._models[fit.scope] = entry = ModelEntry(predictor, fit.key)
         return entry
 
@@ -800,20 +786,28 @@ class MaintenancePredictionService:
         """Train the rows routing queued for ``plans`` in one fused pass
         per round.
 
-        Plans whose row failed are charged the failure and re-routed one
-        rung down, which may queue more rows; rounds repeat until
-        nothing is queued.
+        A failed row is charged to the first plan that asked for it,
+        which re-routes one rung down; every other plan waiting on it
+        routes again from the same rung, which queues a fresh attempt.
+        So each failed fit is one breaker failure, as when every
+        vehicle trained its own row.  Rounds repeat until nothing is
+        queued.
         """
         while self._queued:
             fits, self._queued = list(self._queued.values()), {}
             waiting = [plan for plan in plans if isinstance(plan.entry, _Fit)]
             self._train(fits)
+            charged = set()
             for plan in waiting:
                 fit = plan.entry
                 if fit.error is None:
                     plan.entry = fit.entry
                     continue
                 with tracing.activate(plan.span):
+                    if fit in charged:
+                        self._route(plan, plan.rung)
+                        continue
+                    charged.add(fit)
                     self._rung_failed(plan, fit.error)
                     self._route(plan, plan.rung + 1)
 
@@ -1000,15 +994,11 @@ class MaintenancePredictionService:
         serving interruption).
         """
         self._state(vehicle_id)
-        scope = f"per-vehicle:{vehicle_id}"
-        entry = self._models[scope] = ModelEntry(
+        entry = self._models[f"per-vehicle:{vehicle_id}"] = ModelEntry(
             predictor,
             int(trained_cycles),
             None if version is None else int(version),
         )
-        # The kernel cache already misses on the new model object; this
-        # only stops it pinning the old champion's flattened tables.
-        self.kernel_cache.invalidate(scope)
         return entry
 
     def apply_lifecycle_event(
@@ -1070,9 +1060,7 @@ class MaintenancePredictionService:
                 # deterministic lazy retraining instead of serving a
                 # stale champion; a pin is resolved by the next read
                 # (which raises there if the artifact truly is gone).
-                scope = f"per-vehicle:{vehicle_id}"
-                self._models.pop(scope, None)
-                self.kernel_cache.invalidate(scope)
+                self._models.pop(f"per-vehicle:{vehicle_id}", None)
         event = {
             "action": action,
             "vehicle_id": vehicle_id,
@@ -1490,9 +1478,6 @@ class MaintenancePredictionService:
         if self.monitor is not None:
             self.monitor.load_state_dict(state["monitor"])
         self._index = _FleetIndex(self._vehicles)
-        # Restored states may pin different model versions than the
-        # ones that were serving: every compiled kernel is stale.
-        self.kernel_cache.invalidate()
 
     # -- feedback loop -----------------------------------------------------------
 

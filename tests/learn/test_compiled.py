@@ -7,12 +7,16 @@ the whole serving stack rests on their outputs being bitwise the
 reference predictions.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.predictors import BaselinePredictor, RegressionPredictor
+from repro.learn import compiled as compiled_module
 from repro.learn.boosting import BinMapper, HistGradientBoostingRegressor
 from repro.learn.compiled import (
     CompileError,
@@ -293,6 +297,80 @@ class TestKernelCacheAndCompileErrors:
         )
         k = gbdt_kernel(gb)
         assert gbdt_kernel(gb) is k
+
+    def test_gbdt_refit_never_serves_an_earlier_fit(self):
+        """Fit, predict, refit two to four times, predict: a later
+        ``estimators_`` list can land at the first one's freed address,
+        which an ``id()`` token took for the first fit and answered
+        with its kernel.  The data sets are built up front so the
+        refits alone drive the allocator."""
+        fits = [_dataset(seed, 40, 3) for seed in range(5)]
+        probe = _probe(6, 5, 3)
+        for refits in (2, 3, 4) * 10:
+            gb = HistGradientBoostingRegressor(max_iter=5, random_state=0)
+            gb.fit(*fits[0]).predict(probe)
+            for X, y in fits[1 : refits + 1]:
+                gb.fit(X, y)
+            fresh = HistGradientBoostingRegressor(max_iter=5, random_state=0)
+            assert_bit_identical(
+                gb.predict(probe), fresh.fit(*fits[refits]).predict(probe)
+            )
+
+    def test_forest_refit_loop_matches_reference(self):
+        fits = [_dataset(seed, 40, 3) for seed in range(5)]
+        probe = _probe(9, 5, 3)
+        for refits in (2, 3, 4) * 30:
+            rf = RandomForestRegressor(n_estimators=5, random_state=0)
+            rf.fit(*fits[0]).predict(probe)
+            for X, y in fits[1 : refits + 1]:
+                rf.fit(X, y)
+            assert_bit_identical(
+                rf.predict(probe), reference_predict(rf, probe)
+            )
+
+    def test_entry_dies_with_its_model(self):
+        X, y = _dataset(5, 40, 3)
+        predictor = RegressionPredictor(
+            "RF", RandomForestRegressor(n_estimators=3, random_state=0)
+        )
+
+        class _DS:
+            n_records = len(X)
+
+        ds = _DS()
+        ds.X, ds.y = X, y
+        predictor.fit(ds)
+        kernel = compile_model(predictor)
+        assert kernel.inner is ensemble_kernel(predictor.model_)
+        kernels = [weakref.ref(kernel), weakref.ref(kernel.inner)]
+        del kernel, predictor
+        gc.collect()
+        assert [ref() for ref in kernels] == [None, None]
+
+    def test_warm_predict_all_builds_no_flat_forest(self, monkeypatch):
+        from repro.serving.engine import FleetEngine
+
+        rng = np.random.default_rng(8)
+        engine = FleetEngine(t_v=200_000.0, window=2, algorithm="RF")
+        usage = {
+            "old0": rng.uniform(14_000, 26_000, size=30),
+            "old1": rng.uniform(14_000, 26_000, size=34),
+            "semi0": rng.uniform(17_000, 25_000, size=7),
+        }
+        engine.register_fleet(usage)
+        for vehicle_id, series in usage.items():
+            engine.ingest_history(vehicle_id, series)
+        first = engine.predict_all()
+        builds = []
+        init = compiled_module._FlatForest.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(compiled_module._FlatForest, "__init__", counted)
+        assert engine.predict_all() == first
+        assert builds == []
 
     def test_unfitted_and_unsupported_raise_compile_error(self):
         with pytest.raises(CompileError, match="fit"):

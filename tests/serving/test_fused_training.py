@@ -4,8 +4,9 @@ fused pass, and the batch serves exactly what serial reads serve.
 Routing queues each row to train once per scope (``per-vehicle:<vid>``,
 ``sim:<donor>``, ``uni:<donor set>``); ``predict_batch`` then fits the
 queue in one level-wise pass and installs the rows in queue order.  A
-row whose fit fails is charged to the vehicles that routed to it, which
-re-route one rung down.
+row whose fit fails is charged to the first vehicle that routed to it,
+which re-routes one rung down; the others ask for the row again, so
+each failed fit is one breaker failure.
 """
 
 import pickle
@@ -34,9 +35,11 @@ def fleet() -> dict[str, list[float]]:
     return usage
 
 
-def make_service(usage, **kwargs) -> MaintenancePredictionService:
+def make_service(
+    usage, algorithm="RF", **kwargs
+) -> MaintenancePredictionService:
     service = MaintenancePredictionService(
-        t_v=T_V, window=2, algorithm="RF", **kwargs
+        t_v=T_V, window=2, algorithm=algorithm, **kwargs
     )
     for vid in sorted(usage):
         service.register_vehicle(vid)
@@ -80,6 +83,19 @@ class TestOneGrowPass:
         assert serial_passes == len(batched._models) == 7
         assert got == expected
         assert models(batched) == models(serial)
+
+    def test_cold_xgb_batch_equals_serial_reads(self, grow_passes):
+        """Boosted rows cannot fuse: the batch fits them one at a time,
+        in the order routing queued them, and serves what serial reads
+        serve."""
+        usage = fleet()
+        serial = make_service(usage, algorithm="XGB")
+        expected = [serial.predict(vid) for vid in serial.vehicle_ids]
+        batched = make_service(usage, algorithm="XGB")
+        assert batched.predict_batch(batched.vehicle_ids) == expected
+        assert len(batched._models) == 7
+        assert models(batched) == models(serial)
+        assert grow_passes == []
 
     def test_warm_batch_trains_nothing(self, grow_passes):
         service = make_service(fleet())
@@ -183,3 +199,29 @@ class TestDeferredFailures:
         assert not any(
             scope.startswith(("sim:", "uni:")) for scope in service._models
         )
+
+    def test_shared_row_failure_is_retried_for_the_next_target(
+        self, monkeypatch
+    ):
+        # One injected fault: the first target is charged and steps
+        # down, the second asks again and is served by the retrained row.
+        from repro.serving import service as service_module
+
+        service = make_service(fleet(), breaker=CircuitBreaker())
+        service.predict_batch([f"old{i}" for i in range(6)])
+        first_cycle = service_module.first_cycle_dataset
+        faults = []
+
+        def fails_once(*args):
+            if not faults:
+                faults.append(1)
+                raise InjectedFault("first cycle")
+            return first_cycle(*args)
+
+        monkeypatch.setattr(service_module, "first_cycle_dataset", fails_once)
+        semi0, semi1 = service.predict_batch(["semi0", "semi1"])
+        assert (semi0.strategy, semi0.degraded) == ("unified", True)
+        assert (semi1.strategy, semi1.degraded) == ("similarity", False)
+        assert service.breaker.failure_count() == len(faults) == 1
+        monkeypatch.undo()
+        assert service.predict("semi0").strategy == "similarity"

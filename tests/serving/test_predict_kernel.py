@@ -4,15 +4,19 @@
 identity.  That is only legal if it is *invisible*: a stacked batch
 must equal one-vehicle predictions exactly (``Forecast`` is a frozen
 dataclass, so ``==`` is exact field-for-field equality including the
-float prediction), and the compiled-kernel cache must track model
-lifetimes — retrain, promotion, rollback, checkpoint restore — so a
-stale flattened model never serves.
+float prediction), and every compiled kernel must belong to the model
+being served — after retrain, promotion, rollback and checkpoint
+restore alike — so a stale flattened model never serves.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.registry import make_predictor
+from repro.learn.compiled import compile_model
 from repro.serving.engine import FleetEngine
 from repro.serving.kernel_cache import CompiledModelCache
 from repro.serving.persistence import ModelStore
@@ -92,29 +96,41 @@ class TestBatchedSerialEquivalence:
     def test_repeat_batches_hit_the_kernel_cache(self):
         usage_map = random_fleet(31)
         engine = build_engine(usage_map, window=0, algorithm="RF")
-        engine.predict_all()
-        before = engine.service.kernel_cache.stats()
-        engine.predict_all()
-        after = engine.service.kernel_cache.stats()
-        assert after["hits"] > before["hits"]
-        # No models changed between batches, so nothing recompiles.
-        assert after["compile_count"] == before["compile_count"]
+        cache = engine.service.kernel_cache
+        served = []
+        lookup = cache.get
+
+        def recording_get(scope, model, version):
+            kernel = lookup(scope, model, version)
+            served.append((scope, model, kernel))
+            return kernel
+
+        cache.get = recording_get
+        first = engine.predict_all()
+        warm = len(served)
+        assert warm > 0
+        assert engine.predict_all() == first
+        # No models changed between batches: each one serves the very
+        # kernel object it served before, its own predict's kernel.
+        assert [(s, m) for s, m, _ in served[warm:]] == [
+            (s, m) for s, m, _ in served[:warm]
+        ]
+        for (_, model, cold), (_, _, hot) in zip(served, served[warm:]):
+            assert hot is cold is compile_model(model)
 
     def test_kernel_section_in_engine_metrics(self):
         engine = build_engine(random_fleet(37), window=0, algorithm="LR")
         engine.predict_all()
         section = engine.metrics_section()["kernel"]
-        for key in (
-            "hits",
-            "misses",
-            "hit_rate",
-            "invalidations",
-            "compile_count",
-            "compile_seconds",
+        assert set(section) == {
             "batches",
+            "batched_rows",
+            "mean_rows_per_batch",
+            "max_rows_per_batch",
             "batch_rows",
-        ):
-            assert key in section
+        }
+        # LR kernels are not batch-safe: one row per call.
+        assert section["batch_rows"] == {"<=1": section["batches"]}
 
 
 class TestResilientBatching:
@@ -252,7 +268,7 @@ class TestLifecycleInvalidation:
     def test_promotion_serves_the_new_compiled_model(self, stack):
         service = stack
         assert service.predict_batch(["v0"])[0].model_version == 1
-        before = service.kernel_cache.stats()
+        champion = service.champion("v0").predictor
         challenger = _challenger(99)
         cycles = service.champion("v0").key
         version = service.store.save("v0.per-vehicle", challenger)
@@ -263,8 +279,6 @@ class TestLifecycleInvalidation:
             predictor=challenger,
             trained_cycles=cycles,
         )
-        after = service.kernel_cache.stats()
-        assert after["invalidations"] > before["invalidations"]
         batched = service.predict_batch(["v0"])[0]
         serial = service.predict("v0")
         assert batched == serial
@@ -275,7 +289,9 @@ class TestLifecycleInvalidation:
         assert batched.days_to_maintenance == float(
             max(challenger.predict(row)[0], 0.0)
         )
-        assert service.kernel_cache.stats()["misses"] > before["misses"]
+        served = service.kernel_cache.get("per-vehicle:v0", challenger, cycles)
+        assert served is compile_model(challenger)
+        assert served is not compile_model(champion)
 
     def test_rollback_recompiles_the_prior_version(self, stack):
         service = stack
@@ -316,19 +332,28 @@ class TestLifecycleInvalidation:
         )
         restored.predict_batch  # the batched entry point must survive restore
         restored.load_state_dict(snapshot)
-        assert restored.kernel_cache.stats()["entries"] == 0
+        # The restored row carries a version and no model: nothing to
+        # serve a kernel from until the first read reloads it.
+        assert restored.champion("v0").predictor is None
         first = restored.predict_batch(["v0"])[0]
         assert first == expected
-        assert restored.kernel_cache.stats()["misses"] >= 1
+        reloaded = restored.champion("v0").predictor
+        assert reloaded is not service.champion("v0").predictor
+        assert restored.kernel_cache.get(
+            "per-vehicle:v0", reloaded, expected.model_version
+        ) is compile_model(reloaded)
 
     def test_live_restore_drops_stale_compiled_entries(self, stack):
         service = stack
         before = service.predict_batch(["v0"])[0]
         snapshot = service.state_dict()
-        compiled_entries = service.kernel_cache.stats()["entries"]
-        assert compiled_entries >= 1
+        champion = service.champion("v0").predictor
+        kernels = [compile_model(champion)]
+        kernels.append(kernels[0].inner)
+        stale = [weakref.ref(k) for k in kernels]
+        del champion, kernels
         service.load_state_dict(snapshot)
-        stats = service.kernel_cache.stats()
-        assert stats["entries"] == 0
-        assert stats["invalidations"] >= compiled_entries
+        # The old champion left the table; its kernels died with it.
+        gc.collect()
+        assert [ref() for ref in stale] == [None, None]
         assert service.predict_batch(["v0"])[0] == before
