@@ -182,7 +182,9 @@ def champion_row_identity(usage) -> tuple[int, int]:
         if model is None:
             continue
         checked += 1
-        row, _, _ = service._feature_row(service.series(vehicle_id))
+        row, _, _ = service._feature_row(
+            vehicle_id, service.series(vehicle_id)
+        )
         compiled = compile_model(model)
         if compiled.predict(row).tobytes() != reference_predict(
             model, row

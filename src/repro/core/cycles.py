@@ -254,6 +254,11 @@ class IncrementalSeriesState:
         """The observed utilization series (read-only view)."""
         return self._usage[: self._n]
 
+    @property
+    def usage_left(self) -> np.ndarray:
+        """``L_v(t)`` as of the latest appended day (read-only view)."""
+        return self._l[: self._n]
+
     def _grow(self) -> None:
         if self._n < self._usage.size:
             return

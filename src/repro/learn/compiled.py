@@ -41,7 +41,7 @@ comparisons across estimator types, depths 1-50 and degenerate trees.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, WeakSet
 
 import numpy as np
 
@@ -56,7 +56,16 @@ __all__ = [
 
 
 class CompileError(TypeError):
-    """The model cannot be flattened into a vectorized kernel."""
+    """The model cannot be flattened into a vectorized kernel.
+
+    ``unsupported`` is the model type :func:`compile_model` has no
+    branch for, when that is the reason; ``None`` when the failure
+    depends on the model's state (unfitted, a clipping pipeline step).
+    """
+
+    def __init__(self, message: str, unsupported: type | None = None):
+        super().__init__(message)
+        self.unsupported = unsupported
 
 
 def _require_fitted(model, attribute: str) -> None:
@@ -380,16 +389,29 @@ def compile_model(model):
         _require_fitted(model, "coef_")
         return _CompiledLinear(model.coef_, model.intercept_)
     raise CompileError(
-        f"Cannot compile {type(model).__name__}; no kernel for it."
+        f"Cannot compile {type(model).__name__}; no kernel for it.",
+        unsupported=type(model),
     )
+
+
+#: Model types :func:`compile_model` has no branch for.  Their failure
+#: is a property of the type, so :func:`try_compile` answers them
+#: without another attempt; an unfitted model is retried, because it
+#: compiles once fitted.
+_NO_KERNEL: "WeakSet[type]" = WeakSet()
 
 
 def try_compile(model):
     """:func:`compile_model`, but ``None`` instead of raising for
     unsupported or unfitted models (the serving layer's fallback)."""
+    kind = type(model)
+    if kind in _NO_KERNEL:
+        return None
     try:
         return compile_model(model)
-    except CompileError:
+    except CompileError as exc:
+        if exc.unsupported is kind:
+            _NO_KERNEL.add(kind)
         return None
 
 

@@ -139,10 +139,12 @@ class Observability:
     def stage(self, name: str, **fields):
         """Context manager timing one pipeline stage.
 
-        The canonical stages are ``ingest``, ``feature-build``,
-        ``train`` and ``predict``; extra keyword fields (vehicle id,
-        batch size) are carried on the event-log record only, not as
-        histogram labels.
+        The canonical stages are ``ingest`` (one sample per reading),
+        ``feature-build`` (one per read batch: every vehicle's feature
+        row and Section-4 routing), ``train`` (one per fused training
+        pass) and ``predict`` (one per read batch, enclosing the
+        other two); extra keyword fields (vehicle id, batch size) are
+        carried on the event-log record only, not as histogram labels.
         """
         return _StageTimer(self, name, fields)
 

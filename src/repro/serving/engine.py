@@ -295,7 +295,7 @@ class FleetEngine:
         return [
             vehicle_id
             for vehicle_id in service.vehicle_ids
-            if service.series(vehicle_id).n_days > service.window
+            if service.n_days(vehicle_id) > service.window
         ]
 
     def predict_all(self, *, skip_unready: bool = True) -> list[Forecast]:

@@ -44,6 +44,10 @@ Three serving-layer mechanisms make it production-shaped:
   requests that arrive while the engine thread runs that call form
   the next batch.  So an idle gateway answers a lone read with no
   added wait, and a loaded one batches as deeply as its backlog.  A
+  ``predict:batch`` request is admitted in one pass: its ids queue in
+  order without an await between them (no task per vehicle), so the
+  depot read lands in one call, and each refused id is answered in
+  its own slot.  ``max_queue`` still bounds vehicles, not requests.  A
   single dispatcher drains the queue, so forecasts stay bit-identical
   to serial :meth:`~repro.serving.service.MaintenancePredictionService.
   predict` calls (the gateway test suite pins this with exact
@@ -770,9 +774,12 @@ class FleetGateway:
                 if not request.future.done():
                     request.future.set_result(forecast)
 
-    async def _enqueue_predict(
+    def _admit_predict(
         self, vehicle_id: str, deadline_s: float
-    ) -> Forecast:
+    ) -> tuple[asyncio.Future, _Lane]:
+        """Queue one predict request and return its future and lane;
+        raises :class:`_RequestError` when it is refused.  Nothing here
+        awaits, so a depot read admits all its ids in one pass."""
         if self._draining:
             raise _RequestError(
                 503, "gateway is draining", {"Retry-After": "1"}
@@ -797,25 +804,32 @@ class FleetGateway:
             deadline=self._loop.time() + deadline_s,
             span=tracing.current_span(),
         )
-        shard_label = lane.shard if self._n_shards > 1 else None
         try:
             lane.queue.put_nowait(request)
         except asyncio.QueueFull:
-            self.metrics.note_queue_rejection(shard=shard_label)
+            self.metrics.note_queue_rejection(
+                shard=lane.shard if self._n_shards > 1 else None
+            )
             tracing.add_event("queue-rejected", vehicle_id=vehicle_id)
             raise _RequestError(
                 429, "request queue full", self._retry_after()
             ) from None
+        return future, lane
+
+    def _note_admitted(self, lane: _Lane) -> None:
+        """Record ``lane``'s queue depth after an admission pass (the
+        high-water gauge only needs the depth once the pass is done)."""
         depth = lane.queue.qsize()
+        shard_label = lane.shard if self._n_shards > 1 else None
         self.metrics.note_queue_depth(depth, shard=shard_label)
         # Queue depth at admission rides as a span attribute rather
         # than an event: an attribute write is a dict store, an event
-        # is an allocation — this is the per-request hot path.
-        if request.span is not None:
-            request.span.set_attribute("queue_depth", depth)
+        # is an allocation, and this runs on every predict request.
+        span = tracing.current_span()
+        if span is not None:
+            span.set_attribute("queue_depth", depth)
             if shard_label is not None:
-                request.span.set_attribute("shard", shard_label)
-        return await future
+                span.set_attribute("shard", shard_label)
 
     # -- routing -----------------------------------------------------------
 
@@ -1002,7 +1016,9 @@ class FleetGateway:
         deadline_s = self._deadline_s(
             query.get("deadline_ms", [None])[0]
         )
-        forecast = await self._enqueue_predict(vehicle_id, deadline_s)
+        future, lane = self._admit_predict(vehicle_id, deadline_s)
+        self._note_admitted(lane)
+        forecast = await future
         headers = {DEGRADED_HEADER: "true"} if forecast.degraded else {}
         return GatewayResponse(200, forecast.to_dict(), headers)
 
@@ -1021,15 +1037,24 @@ class FleetGateway:
         deadline_s = self._deadline_s(
             None if deadline_raw is None else str(deadline_raw)
         )
-        # Every enqueue runs before the dispatcher resumes, so the whole
-        # request lands in one predict_many call (up to max_batch_size).
-        outcomes = await asyncio.gather(
-            *(
-                self._enqueue_predict(vehicle_id, deadline_s)
-                for vehicle_id in vehicle_ids
-            ),
-            return_exceptions=True,
-        )
+        # One admission pass, in order and without an await, so the
+        # whole request lands in one predict_many call (up to
+        # max_batch_size).  A refused id answers in its own slot.
+        futures = []
+        lanes = {}
+        for vehicle_id in vehicle_ids:
+            try:
+                future, lane = self._admit_predict(vehicle_id, deadline_s)
+            except _RequestError as exc:
+                future = self._loop.create_future()
+                future.set_exception(exc)
+            else:
+                lanes[lane.shard] = lane
+            futures.append(future)
+        for lane in lanes.values():
+            self._note_admitted(lane)
+        # gather() of plain futures wraps none of them in a Task.
+        outcomes = await asyncio.gather(*futures, return_exceptions=True)
         forecasts: list[dict] = []
         errors = 0
         any_degraded = False

@@ -617,13 +617,14 @@ class MaintenancePredictionService:
 
     # -- vehicle views ---------------------------------------------------------
 
-    def series(self, vehicle_id: str) -> VehicleSeries:
-        """The vehicle's ``C``/``L``/``D`` series as of its latest day.
+    def _cycle_state(self, vehicle_id: str) -> IncrementalSeriesState:
+        """The vehicle's incremental cycle state as of its latest day.
 
-        Only the days ingested since the previous call are folded into
-        the vehicle's incremental cycle state — O(new days) instead of
-        re-deriving the whole history, and bit-identical to
-        :func:`~repro.core.cycles.derive_series`.
+        Only the days ingested since the previous call are folded in —
+        O(new days) instead of re-deriving the whole history, and
+        bit-identical to :func:`~repro.core.cycles.derive_series`.  A
+        read takes its feature row and staleness key from here without
+        snapshotting a series.
         """
         state = self._state(vehicle_id)
         cycles = state.cycles
@@ -631,7 +632,12 @@ class MaintenancePredictionService:
             cycles = state.cycles = IncrementalSeriesState(self.t_v)
         if cycles.n_days < len(state.usage):
             cycles.extend(state.usage[cycles.n_days :])
-        bundle = cycles.bundle()
+        return cycles
+
+    def series(self, vehicle_id: str) -> VehicleSeries:
+        """The vehicle's ``C``/``L``/``D`` series as of its latest day
+        (a snapshot of :meth:`_cycle_state`)."""
+        bundle = self._cycle_state(vehicle_id).bundle()
         return VehicleSeries(
             vehicle_id=vehicle_id,
             usage=bundle.usage,
@@ -842,7 +848,7 @@ class MaintenancePredictionService:
                     f"{vehicle_id}.per-vehicle", state.pinned_version
                 ),
             )
-        n_cycles = len(self.series(vehicle_id).completed_cycles)
+        n_cycles = len(self._cycle_state(vehicle_id).completed_cycles)
         if entry.predictor is None and entry.version is not None:
             # Checkpoint restore: the row carries a (possibly promoted)
             # version number without its model.  Reload that exact
@@ -1081,11 +1087,17 @@ class MaintenancePredictionService:
 
     # -- prediction -----------------------------------------------------------
 
-    def _feature_row(self, series: VehicleSeries) -> tuple[np.ndarray, float, int]:
+    def _feature_row(
+        self, vehicle_id: str, series
+    ) -> tuple[np.ndarray, float, int]:
+        """The Eq. 8 row ``[L(t), U(t-1), ..., U(t-W)]`` of the latest
+        day, with ``L(t)`` and that day.  ``series`` is anything holding
+        ``usage`` and ``usage_left`` arrays: a :class:`VehicleSeries`,
+        or the vehicle's cycle state on the read path."""
         today = series.n_days - 1
         if today < self.window:
             raise ValueError(
-                f"Vehicle {series.vehicle_id!r} has {series.n_days} days; "
+                f"Vehicle {vehicle_id!r} has {series.n_days} days; "
                 f"window={self.window} needs at least {self.window + 1}."
             )
         usage_left = series.usage_left[today]
@@ -1165,15 +1177,17 @@ class MaintenancePredictionService:
 
     def _plan(self, vehicle_id: str, span) -> _Plan:
         """Step 1 for one vehicle: feature row plus Section-4 routing."""
-        series = self.series(vehicle_id)
-        if series.n_days == 0:
+        cycles = self._cycle_state(vehicle_id)
+        if cycles.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
         category = self._fleet_index().category[vehicle_id]
-        with self._stage("feature-build", vehicle_id=vehicle_id):
-            row, usage_left, today = self._feature_row(series)
+        row, usage_left, today = self._feature_row(vehicle_id, cycles)
         plan = _Plan(vehicle_id, category, row, usage_left, today, span)
-        with tracing.activate(span):
+        if span is None:
             self._route(plan, 0)
+        else:
+            with tracing.activate(span):
+                self._route(plan, 0)
         return plan
 
     def _run_kernels(self, plans: list[_Plan]) -> list[_Plan]:
@@ -1292,10 +1306,13 @@ class MaintenancePredictionService:
         ids = list(vehicle_ids)
         with self._stage("predict", vehicles=len(ids)):
             try:
-                plans = [
-                    self._plan(vehicle_id, None if spans is None else spans[i])
-                    for i, vehicle_id in enumerate(ids)
-                ]
+                with self._stage("feature-build", vehicles=len(ids)):
+                    plans = [
+                        self._plan(
+                            vehicle_id, None if spans is None else spans[i]
+                        )
+                        for i, vehicle_id in enumerate(ids)
+                    ]
                 pending = plans
                 while pending:
                     self._train_queued(pending)

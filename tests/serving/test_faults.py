@@ -163,6 +163,36 @@ class TestFaultyPredictors:
         assert injector.injected["train"] == 0
 
 
+    def test_wrapped_model_compiles_once(self, rng, monkeypatch):
+        """A model type with no kernel is remembered: a wrapped LR is
+        tried once, not again on every read."""
+        from weakref import WeakSet
+
+        from repro.learn import compiled
+
+        attempts = []
+        compile_model = compiled.compile_model
+
+        def counted(model):
+            attempts.append(type(model).__name__)
+            return compile_model(model)
+
+        monkeypatch.setattr(compiled, "compile_model", counted)
+        # Earlier tests may have served a wrapper in this process.
+        monkeypatch.setattr(compiled, "_NO_KERNEL", WeakSet())
+        service = MaintenancePredictionService(
+            t_v=T_V,
+            window=0,
+            algorithm="LR",
+            predictor_factory=faulty_predictor_factory(FaultInjector(seed=0)),
+        )
+        service.register_vehicle("v")
+        service.ingest_series("v", rng.uniform(12_000, 26_000, size=40))
+        first = service.predict("v")
+        assert service.predict("v") == first
+        assert attempts.count("_FaultyPredictor") == 1
+
+
 class TestDirtyIngestChaos:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_ingest_never_raises_and_counters_match_exactly(self, seed):

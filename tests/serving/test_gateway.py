@@ -497,6 +497,86 @@ class TestAdmissionControl:
         assert [r.status for r in served] == [200, 200]
         assert rejections == 2
 
+    def test_depot_read_admitted_in_one_pass(self):
+        """The ids of a predict:batch queue in order in one pass: the
+        first ``max_queue`` are served, the rest answer 429 in their
+        own slots, and no task is created per vehicle."""
+        reference = serial_reference()
+        ids = ["v00", "v01", "v02", "v03"]
+
+        async def scenario():
+            gateway = await started_gateway(
+                config=GatewayConfig(max_queue=2), dispatch=False
+            )
+            tasks_before = len(asyncio.all_tasks())
+            request = asyncio.create_task(
+                gateway.handle_request(
+                    "POST",
+                    "/v1/predict:batch",
+                    json.dumps({"vehicle_ids": ids}).encode(),
+                )
+            )
+            for _ in range(3):
+                await asyncio.sleep(0)
+            tasks_added = len(asyncio.all_tasks()) - tasks_before
+            metrics = gateway.metrics
+            queued = (
+                gateway._lanes[0].queue.qsize(),
+                metrics.queue_high_water,
+                metrics.queue_rejections,
+            )
+            gateway.start_dispatcher()
+            response = await request
+            await gateway.shutdown()
+            return tasks_added, queued, response
+
+        tasks_added, queued, response = run(scenario())
+        assert tasks_added == 1  # the request's own task
+        assert queued == (2, 2, 2)
+        payload = response.payload
+        assert payload["errors"] == 2
+        served = [Forecast.from_dict(f) for f in payload["forecasts"][:2]]
+        assert served == [reference["v00"], reference["v01"]]
+        assert [
+            (f["vehicle_id"], f["status"]) for f in payload["forecasts"][2:]
+        ] == [("v02", 429), ("v03", 429)]
+
+    def test_gated_depot_read_holds_no_task_per_vehicle(self):
+        """While a batch waits on the engine, its request holds one
+        task, and the high-water gauge reads the depth the admission
+        pass left."""
+        engine = gated_engine()
+        ids = ["v00", "v01", "v02", "v03"]
+
+        async def scenario():
+            gateway = await started_gateway(engine=engine)
+            tasks_before = len(asyncio.all_tasks())
+            try:
+                request = asyncio.create_task(
+                    gateway.handle_request(
+                        "POST",
+                        "/v1/predict:batch",
+                        json.dumps({"vehicle_ids": ids}).encode(),
+                    )
+                )
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                dispatched = engine.entered.wait(2.0)
+                tasks_added = len(asyncio.all_tasks()) - tasks_before
+            finally:
+                engine.gate.set()
+            response = await request
+            high_water = gateway.metrics.queue_high_water
+            await gateway.shutdown()
+            return dispatched, tasks_added, high_water, response
+
+        dispatched, tasks_added, high_water, response = run(scenario())
+        assert dispatched
+        assert tasks_added == 1
+        assert high_water == len(ids)
+        assert engine.calls == [ids]
+        assert response.payload["errors"] == 0
+
     def test_expired_deadline_504_and_no_batch_slot(self):
         async def scenario():
             gateway = await started_gateway(dispatch=False)
@@ -717,6 +797,42 @@ class TestSocketLayer:
         assert ingest == (200, {"ingested": 1})
         assert health[0] == 200
         assert health[1]["gateway"]["requests"]["predict"] == 1
+
+    def test_mixed_outcome_batch_over_keep_alive(self):
+        reference = serial_reference()
+
+        async def scenario():
+            gateway = FleetGateway(build_engine(), GatewayConfig(port=0))
+            host, port = await gateway.serve()
+            reader, writer = await asyncio.open_connection(host, port)
+            batch = await self._request(
+                reader,
+                writer,
+                "POST",
+                "/v1/predict:batch",
+                {"vehicle_ids": ["v01", "ghost", "v03"]},
+            )
+            after = await self._request(
+                reader, writer, "GET", "/v1/predict/v02"
+            )
+            writer.close()
+            await gateway.shutdown()
+            return batch, after
+
+        (status, payload), after = run(scenario())
+        assert status == 200
+        assert payload["errors"] == 1
+        forecasts = payload["forecasts"]
+        assert Forecast.from_dict(forecasts[0]) == reference["v01"]
+        assert forecasts[1] == {
+            "vehicle_id": "ghost",
+            "error": "unknown vehicle 'ghost'",
+            "status": 404,
+        }
+        assert Forecast.from_dict(forecasts[2]) == reference["v03"]
+        # The connection stays usable after the batch.
+        assert after[0] == 200
+        assert Forecast.from_dict(after[1]) == reference["v02"]
 
     def test_malformed_request_line_400(self):
         async def scenario():

@@ -470,3 +470,50 @@ class TestEngineSections:
         ]
         snapshot = obs.registry.snapshot()
         assert {name: snapshot[name] for name in section} == section
+
+
+class TestStageTimingPerBatch:
+    def test_depot_read_records_one_sample_per_stage(self):
+        """A 24-vehicle read adds one ``feature-build`` and one
+        ``predict`` sample and one event-log record each, whatever
+        the batch size."""
+        from collections import Counter
+
+        from repro.obs import Observability
+
+        obs = Observability()
+        service = MaintenancePredictionService(
+            t_v=T_V, window=0, algorithm="LR", obs=obs
+        )
+        usage = fleet_usage(n_vehicles=24)
+        for vehicle_id, series in usage.items():
+            service.register_vehicle(vehicle_id)
+            service.ingest_series(vehicle_id, series)
+        ids = list(usage)
+        service.predict_batch(ids)  # warm-up: trains every model
+
+        def stage_counts():
+            return {
+                stage: summary["count"]
+                for stage, summary in obs.stage_summaries().items()
+            }
+
+        before, seq = stage_counts(), obs.events.stats()["emitted"]
+        service.predict_batch(ids)
+        after = stage_counts()
+        added = {
+            stage: after[stage] - before.get(stage, 0)
+            for stage in after
+            if after[stage] != before.get(stage, 0)
+        }
+        assert added == {"feature-build": 1, "predict": 1}
+        records = [
+            record
+            for record in obs.events.tail()
+            if record["seq"] > seq and record["kind"] == "stage"
+        ]
+        assert Counter(r["stage"] for r in records) == {
+            "feature-build": 1,
+            "predict": 1,
+        }
+        assert all(r["vehicles"] == 24 for r in records)

@@ -1,16 +1,23 @@
 """Routing reads the ingest-fed index instead of walking the fleet.
 
-A read with no ingest since the previous one re-categorizes nobody and
-searches no donors; one appended day costs one re-categorization; an
-engine read visits only the vehicles of its batch and trains none
-outside it; and Model_Uni fits once per distinct donor set, also when
-the breaker ladder asks for the pool without one of its own donors.
+A read with no ingest since the previous one re-categorizes nobody,
+searches no donors and snapshots no series (feature rows and the
+staleness key come from the cycle state, bit for bit what a series
+gives); one appended day costs one re-categorization; an engine read
+visits only the vehicles of its batch and trains none outside it; and
+Model_Uni fits once per distinct donor set, also when the breaker
+ladder asks for the pool without one of its own donors.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.categorize import VehicleCategory
+from repro.core.cycles import IncrementalSeriesState
 from repro.core.registry import make_predictor
+from repro.core.series import VehicleSeries
 from repro.serving import service as service_module
 from repro.serving.engine import FleetEngine
 from repro.serving.reliability import CircuitBreaker
@@ -68,6 +75,24 @@ class TestNoFleetScanOnRead:
         for _ in range(3):
             service.predict_batch(cold_start)
         assert counted == {"categorize_usage": 0, "most_similar": 0}
+
+    def test_warm_read_snapshots_no_series(self, monkeypatch):
+        service = MaintenancePredictionService(
+            t_v=T_V, window=WINDOW, algorithm="LR"
+        )
+        ids = list(mixed_fleet(service))
+        first = service.predict_batch(ids)  # warm-up: fits every row
+        calls = []
+        bundle = IncrementalSeriesState.bundle
+
+        def counted_bundle(self):
+            calls.append(self)
+            return bundle(self)
+
+        monkeypatch.setattr(IncrementalSeriesState, "bundle", counted_bundle)
+        for _ in range(3):
+            assert service.predict_batch(ids) == first
+        assert calls == []
 
     def test_one_append_recategorizes_one_vehicle(self, counted):
         service = MaintenancePredictionService(
@@ -170,3 +195,51 @@ class TestUnifiedModelFitsOncePerDonorSet:
         assert strategies[4][0] == "per-vehicle"
         assert len(set(fits)) == 2
         assert len(fits) == 2
+
+
+class TestFeatureRowFromCycleState:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(min_value=0, max_value=4),
+        chunks=st.lists(
+            st.lists(
+                st.sampled_from([0.0, 9_000.0, 40_000.0, 75_000.0, 86_400.0]),
+                max_size=7,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_row_equals_series_row(self, window, chunks):
+        """The read path's row, taken from the incremental cycle state
+        as days arrive in chunks, equals the row of the vehicle's
+        series and of a series derived from scratch, byte for byte;
+        too few days raise the same ``ValueError``."""
+        service = MaintenancePredictionService(
+            t_v=T_V, window=window, algorithm="LR"
+        )
+        service.register_vehicle("v")
+        history = []
+        for chunk in chunks:
+            service.ingest_series("v", chunk)
+            history.extend(chunk)
+            sources = [
+                service._cycle_state("v"),
+                service.series("v"),
+                VehicleSeries("v", np.array(history), T_V),
+            ]
+            if len(history) <= window:
+                messages = set()
+                for source in sources:
+                    with pytest.raises(ValueError) as caught:
+                        service._feature_row("v", source)
+                    messages.add(str(caught.value))
+                assert len(messages) == 1
+                continue
+            rows = [service._feature_row("v", source) for source in sources]
+            for row, usage_left, today in rows:
+                assert row.tobytes() == rows[0][0].tobytes()
+                assert np.float64(usage_left).tobytes() == (
+                    np.float64(rows[0][1]).tobytes()
+                )
+                assert today == rows[0][2] == len(history) - 1
