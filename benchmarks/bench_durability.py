@@ -1,8 +1,9 @@
 """Durability overhead benchmark: write-ahead journal on the ingest path.
 
 Measures what crash safety costs on the fleet ingest hot path
-(``FleetEngine.ingest_day`` — one bulk CRC-framed ``day`` record per
-fleet-day, base64 float64 payload, group-commit fsync batching), with
+(``FleetEngine.ingest_day`` — one CRC-framed ``day`` record per
+fleet-day, base64 float64 payload, fsynced before the call returns,
+exactly as every ingest request is before its ack), with
 a tighter variant of ``bench_gateway.py``'s paired interleaved
 methodology: one engine, one process, one warmed cycle state — and
 the journal toggled on/off on *alternating days* within each window,
@@ -15,11 +16,11 @@ co-tenancy, noise that dwarfs the overhead itself.
 
 Two numbers are produced, one gated:
 
-* **journal overhead** on the ingest hot path must stay **< 10%** of
-  journal-off throughput — the bulk ``day`` record exists precisely to
-  amortize framing/CRC/write cost over the whole fleet, where a
-  per-reading record would cost several microseconds against a ~1 us
-  guarded-append baseline;
+* **journal overhead** on the ingest hot path — record framing plus
+  the durable-ack fsync — must stay **< 10%** of journal-off
+  throughput; one record per request amortizes framing, CRC, write
+  and fsync over the whole fleet day, where a per-reading record would
+  cost several microseconds against a ~1 us guarded-append baseline;
 * **checkpoint cost** — a full ``state_dict`` snapshot written
   atomically with checksum sidecar — measured separately as
   stop-the-world seconds + bytes, because checkpoints are periodic
@@ -49,7 +50,6 @@ from repro.serving import FleetEngine, IngestionGuard
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 T_V = 2_000_000.0
-FSYNC_EVERY = 256
 
 
 def build_engine(n_vehicles: int) -> tuple[FleetEngine, list[str]]:
@@ -80,11 +80,9 @@ def paired_window(
     state is effectively identical for adjacent days, which matters
     because window-level noise on shared hardware (±25% between
     consecutive windows) dwarfs the overhead being measured.
-    Journaled days pay their full steady-state cost inside the timed
-    region: one bulk ``day`` record per call, plus a group-commit
-    fsync whenever the running append count crosses ``fsync_every``
-    (amortized 1-in-``fsync_every``, never a forced fsync per
-    window).  Returns (journal-on day times, journal-off day times).
+    Journaled days pay their full cost inside the timed region: one
+    ``day`` record and one fsync per call.  Returns (journal-on day
+    times, journal-off day times).
     """
     service = engine.service
     times: dict[bool, list[float]] = {True: [], False: []}
@@ -105,7 +103,6 @@ def paired_window(
     finally:
         gc.enable()
     service.journal = None
-    journal.sync()  # tail sync outside the timed region
     return times[True], times[False]
 
 
@@ -165,9 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     off_times: list[float] = []
     day = 0
     with tempfile.TemporaryDirectory() as tmp:
-        journal = WriteAheadJournal(
-            Path(tmp) / "journal", fsync_every=FSYNC_EVERY
-        )
+        journal = WriteAheadJournal(Path(tmp) / "journal")
 
         def window(record: bool) -> None:
             nonlocal day
@@ -213,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         "",
         f"{n_vehicles} vehicles x {days} days per window, "
         f"{pairs} windows of alternating journal-on/off days, "
-        f"fsync_every={FSYNC_EVERY}",
+        "one fsync per journaled day",
         "",
         f"journal off : {off_rate:10.0f} readings/s (fastest-quartile)",
         f"journal on  : {on_rate:10.0f} readings/s (fastest-quartile)",
@@ -227,8 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         f"fastest-quartile regression: {regression * 100:+.1f}%",
         "",
         f"journal     : {appends} records appended, {stats['fsyncs']} "
-        f"fsyncs ({appends / max(1, stats['fsyncs']):.0f} records per "
-        "group commit)",
+        "fsyncs",
         f"checkpoint  : {checkpoint_s * 1000:.1f} ms stop-the-world, "
         f"{checkpoint_bytes} bytes "
         f"({n_vehicles} vehicles, {day} days of state)",

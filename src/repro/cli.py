@@ -214,7 +214,8 @@ def _run_kill_drill(args) -> int:
         print(
             f"killed worker after {report['applied_acked']}/"
             f"{report['ops_total']} ops "
-            f"(durably acked: {report['durable_acked']})"
+            f"(durably acked: {report['durable_acked']}, "
+            f"journal seq {report['acked_seq']})"
         )
         print(
             f"recovered: checkpoint seq {report['checkpoint_seq']}, "
@@ -227,6 +228,12 @@ def _run_kill_drill(args) -> int:
                 f"{report['torn_records_dropped']} torn records dropped"
             )
         for label, ok in (
+            (
+                "every ack was durable when sent "
+                f"(applied_acked {report['applied_acked']} == "
+                f"durable_acked {report['durable_acked']})",
+                report["acks_durable"],
+            ),
             ("acknowledged writes survived", report["acked_survived"]),
             ("forecasts bit-identical", report["forecasts_match"]),
             ("fleet health identical", report["health_match"]),

@@ -7,9 +7,12 @@ package makes the serving state restart-survivable with the classic
 write-ahead recipe:
 
 * :class:`~repro.durability.journal.WriteAheadJournal` — append-only
-  JSON-lines segments with a per-record CRC, fsync batching (group
-  commit), size-based segment rotation and torn-tail truncation on
-  open.  Every ingestion mutation is journaled *before* it is applied.
+  JSON-lines segments with a per-record CRC, size-based segment
+  rotation and torn-tail truncation on open.  Every ingest request — a
+  reading, a posted batch, a fleet day, a backfill — is one record,
+  journaled and fsynced *before* it is applied, so every ack is
+  durable; records appended since the previous sync share its fsync
+  (group commit).
 * :class:`~repro.durability.checkpoint.CheckpointManager` — periodic
   atomic snapshots of the full service state (usage histories, guard
   counters, dead letters, breaker states, drift residuals, model
@@ -26,7 +29,8 @@ write-ahead recipe:
   lock left by a killed process is detected and stolen.
 * :mod:`~repro.durability.drill` — the SIGKILL kill-recovery harness
   every kill drill runs through: spawn a journaling worker subprocess
-  and kill it mid-run.  Its ingest drill then recovers and asserts the
+  and kill it mid-run.  Its ingest drill then recovers and asserts
+  that every acknowledged op was durable and survived, and that the
   recovered state is bit-identical to an uninterrupted run over the
   journaled records (``repro chaos --kill-after``).
 

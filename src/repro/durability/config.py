@@ -16,42 +16,32 @@ __all__ = ["DurabilityConfig"]
 class DurabilityConfig:
     """Knobs shared by the journal, checkpointer and recovery manager.
 
+    Every ingest request is fsynced before its ack (see
+    :meth:`~repro.serving.service.MaintenancePredictionService.
+    ingest_batch`), so no knob trades durability for latency.
+
     Attributes
     ----------
-    fsync_every:
-        Group-commit width: the journal fsyncs once every N appended
-        records (and on :meth:`~repro.durability.journal.
-        WriteAheadJournal.sync`).  ``1`` fsyncs every record.
     segment_max_bytes:
         Rotate to a fresh journal segment once the active one exceeds
         this size.
     checkpoint_every:
-        Journal records between periodic checkpoints
+        Journaled readings between periodic checkpoints (a record
+        without readings — a registration, a lifecycle decision —
+        counts one), which bounds the readings a recovery replays
         (:meth:`~repro.durability.recovery.RecoveryManager.
         maybe_checkpoint`).
     keep_checkpoints:
         Checkpoint generations retained; older ones (and the journal
         segments wholly below the oldest retained generation) are
         pruned after each successful checkpoint.
-    sync_on_ack:
-        When the HTTP gateway carries a durability manager, fsync the
-        journal before acknowledging each ingest request (ack ⇒
-        durable).  Off by default: acknowledged writes are then
-        durable up to the ``fsync_every`` group-commit window, the
-        standard latency/durability trade.
     """
 
-    fsync_every: int = 64
     segment_max_bytes: int = 4 * 1024 * 1024
     checkpoint_every: int = 2048
     keep_checkpoints: int = 3
-    sync_on_ack: bool = False
 
     def __post_init__(self) -> None:
-        if self.fsync_every < 1:
-            raise ValueError(
-                f"fsync_every must be >= 1, got {self.fsync_every}."
-            )
         if self.segment_max_bytes < 1024:
             raise ValueError(
                 f"segment_max_bytes must be >= 1024, "

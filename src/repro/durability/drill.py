@@ -7,9 +7,11 @@ process death (no mocked crash), through one harness,
 1. write a deterministic op stream (``records.jsonl``) to a work dir;
 2. spawn a worker subprocess (``python -m repro.durability.drill``)
    that builds the drill's stack, recovers it from the state dir,
-   applies ops one by one, and appends ``"<applied> <durable_seq>"``
-   to ``acks.log`` after each — the drill's stand-in for a
-   client-visible acknowledgement;
+   applies ops one by one, syncs the journal, and only then appends
+   ``"<applied> <durable> <seq>"`` to ``acks.log`` — the drill's
+   stand-in for a client-visible acknowledgement (``durable`` is the
+   last op whose journal records were all on disk at its ack, ``seq``
+   the journal's durable sequence number);
 3. poll the acks file until the worker has applied ``kill_after`` ops,
    then ``SIGKILL`` it — no atexit, no flush, no cleanup.
 
@@ -22,8 +24,10 @@ original stays as killed, for ``repro recover --dry-run``) to a
 *reference* built by applying the journaled op prefix to a blank
 service in-process.  Equivalence is exact: every recovered forecast must be
 bit-identical to the reference's (``Forecast.to_dict`` equality) and
-the fleet health reports must match — and the journal's high-water
-mark must cover at least the last *durably acked* op.  The lifecycle
+the fleet health reports must match — and every acknowledged op must
+survive: each ack was durable when it was sent (``applied_acked ==
+durable_acked``) and the recovered journal reaches the sequence number
+of the last ack.  The lifecycle
 drill (:func:`repro.lifecycle.drill.lifecycle_kill_drill`) kills a
 worker mid-promotion through the same harness.
 
@@ -59,8 +63,10 @@ __all__ = [
 ]
 
 #: Drill fleet configuration shared by worker and reference service.
+#: 48 journaled readings put the first checkpoint well past the early
+#: kill points the tests use, so a killed state dir has a tail to replay.
 _DRILL_T_V = 200_000.0
-_DRILL_CONFIG = DurabilityConfig(fsync_every=8, checkpoint_every=32)
+_DRILL_CONFIG = DurabilityConfig(checkpoint_every=48)
 
 
 def _build_service(t_v: float = _DRILL_T_V):
@@ -150,6 +156,8 @@ def _worker_main(argv: list[str] | None = None) -> int:
     service, apply, config = build(Path(args.state), args.t_v)
     manager = RecoveryManager(args.state, service, config=config)
     manager.recover()
+    journal = manager.journal
+    durable = 0
     with open(args.acks, "a", encoding="utf-8") as acks:
         for index, op in enumerate(ops, start=1):
             # A rejected op journals (or not) exactly as it would in
@@ -157,9 +165,13 @@ def _worker_main(argv: list[str] | None = None) -> int:
             with contextlib.suppress(ValueError, KeyError):
                 apply(op)
             manager.maybe_checkpoint()
-            # Ack = op applied + its journal position durable-or-not;
-            # the drill treats ops with seq <= durable_seq as acked.
-            acks.write(f"{index} {manager.journal.durable_seq}\n")
+            # Ack only after sync, and record whether it held: an op
+            # counts as durably acked when nothing it journaled was
+            # still pending at its ack.
+            journal.sync()
+            if journal.durable_seq == journal.last_seq:
+                durable = index
+            acks.write(f"{index} {durable} {journal.durable_seq}\n")
             acks.flush()
             if args.throttle_ms > 0:
                 time.sleep(args.throttle_ms / 1000.0)
@@ -167,21 +179,21 @@ def _worker_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _read_acks(path: Path) -> tuple[int, int]:
-    """(ops applied, durable seq at last ack) from the acks file."""
-    applied = durable = 0
+def _read_acks(path: Path) -> tuple[int, int, int]:
+    """(ops acked, ops durably acked, durable seq) at the last ack."""
+    last = (0, 0, 0)
     try:
         text = path.read_text("utf-8")
     except OSError:
-        return 0, 0
+        return last
     for line in text.splitlines():
         parts = line.split()
-        if len(parts) == 2:
+        if len(parts) == 3:
             try:
-                applied, durable = int(parts[0]), int(parts[1])
+                last = tuple(int(part) for part in parts)
             except ValueError:
                 continue
-    return applied, durable
+    return last
 
 
 def run_killed_worker(
@@ -193,7 +205,7 @@ def run_killed_worker(
     t_v: float = _DRILL_T_V,
     throttle_ms: float,
     timeout_s: float,
-) -> tuple[int, bool, int, int]:
+) -> tuple[int, bool, int, int, int]:
     """Run ``ops`` in a worker and SIGKILL it after ``kill_after`` acks.
 
     ``stack`` is a module-level function ``(state_dir, t_v) ->
@@ -204,8 +216,10 @@ def run_killed_worker(
     ``acks.log``; it is left behind for the drill's recovery checks
     (and for the CI ``repro recover --dry-run`` smoke).
 
-    Returns ``(kill_after, killed, applied_acked, durable_acked)`` with
-    ``kill_after`` clamped to ``[1, len(ops)]``.  Raises
+    Returns ``(kill_after, killed, applied_acked, durable_acked,
+    acked_seq)`` — ops acked, ops durably acked and the journal's
+    durable sequence number at the last ack — with ``kill_after``
+    clamped to ``[1, len(ops)]``.  Raises
     ``TimeoutError`` when the worker stalls before the kill point and
     ``RuntimeError`` when it exits non-zero before it.
     """
@@ -249,7 +263,7 @@ def run_killed_worker(
     killed = False
     applied_acked = 0
     while time.monotonic() < deadline:
-        applied_acked, _ = _read_acks(acks_path)
+        applied_acked = _read_acks(acks_path)[0]
         if applied_acked >= kill_after:
             worker.kill()  # SIGKILL: no atexit, no flush, no cleanup
             killed = True
@@ -298,7 +312,9 @@ def kill_recovery_drill(
     killed worker (and the tear) left it.
     """
     ops = generate_ops(n_vehicles, days, seed)
-    kill_after, killed, applied_acked, durable_acked = run_killed_worker(
+    (
+        kill_after, killed, applied_acked, durable_acked, acked_seq
+    ) = run_killed_worker(
         work_dir,
         ops,
         _worker_stack,
@@ -324,10 +340,11 @@ def kill_recovery_drill(
     report = manager.recover()
     last_seq = report.last_seq
 
-    # Acknowledged-write guarantee: every op whose journal record was
-    # durable at ack time must have survived the kill (and the torn
-    # tail can only eat a not-yet-acknowledged record).
-    acked_survived = last_seq >= durable_acked
+    # Acknowledged-write guarantee: every ack was durable when it was
+    # sent, and every acked record survived the kill (the torn tail
+    # can only eat a record that was never acknowledged).
+    acks_durable = applied_acked == durable_acked
+    acked_survived = last_seq >= acked_seq
 
     # Reference: the same op prefix applied in-process, no crash, with
     # the worker's tolerance of rejected ops.  Ops map 1:1 onto journal
@@ -357,14 +374,20 @@ def kill_recovery_drill(
 
     return {
         "ok": bool(
-            killed and acked_survived and forecasts_match and health_match
+            killed
+            and acks_durable
+            and acked_survived
+            and forecasts_match
+            and health_match
         ),
         "killed": killed,
         "ops_total": len(ops),
         "kill_after": kill_after,
         "applied_acked": applied_acked,
         "durable_acked": durable_acked,
+        "acked_seq": acked_seq,
         "last_seq": last_seq,
+        "acks_durable": acks_durable,
         "acked_survived": acked_survived,
         "replayed": report.replayed,
         "checkpoint_seq": report.checkpoint_seq,

@@ -3,7 +3,7 @@
 The journal is a directory of JSON-lines *segments*.  Each line frames
 one record::
 
-    {"k":"ingest","q":17,"s":17345.2,"v":"v03","d":12} 1a2b3c4d\n
+    {"d":12,"k":"day","q":17,"u":"zczMzEzw0EA=","vs":["v03"]} 1a2b3c4d\n
 
 The JSON object carries the record's monotonically increasing sequence
 number (``q``), its kind (``k``) and the kind-specific payload; the
@@ -15,16 +15,21 @@ reopened.  Corruption *before* the tail is a different animal (bit
 rot, not a crash) and raises :exc:`JournalCorruptError` instead of
 being silently dropped.
 
-Durability is batched (group commit): appends go to the OS through a
-buffered file and the journal fsyncs once every ``fsync_every``
-records (or on :meth:`WriteAheadJournal.sync`).  ``durable_seq``
-tracks the last sequence number known to have hit stable storage.
+Appends collect in a process buffer; :meth:`WriteAheadJournal.sync`
+writes and fsyncs everything pending in one call (group commit), and
+``durable_seq`` tracks the last sequence number known to be on stable
+storage.  The ingest path
+(:meth:`~repro.serving.service.MaintenancePredictionService.ingest_batch`)
+syncs each request before its ack, so an acknowledged reading is never
+lost; the records appended since the previous sync — auto-registrations
+of the same request, lifecycle decisions — ride on that same fsync.
+Segment rotation and :meth:`~WriteAheadJournal.close` sync as well.
 
-Bulk payloads (``series``/``day`` records) carry their float64 values
-as base64 of the raw little-endian bytes (:func:`encode_f64`), so
-replay is bit-exact — including NaN payloads from dirty telemetry
-feeds — and the per-reading encode cost on the bulk ingest hot path
-is a few tens of nanoseconds instead of a ``repr`` per float.
+Ingest records (kind ``day``) carry their float64 readings as base64
+of the raw little-endian bytes (:func:`encode_f64`), so replay is
+bit-exact — including NaN payloads from dirty telemetry feeds — and
+the per-reading encode cost is a few tens of nanoseconds instead of a
+``repr`` per float.
 """
 
 from __future__ import annotations
@@ -52,10 +57,6 @@ __all__ = [
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jrnl"
 
-#: Record kinds the serving layer writes (recovery refuses others).
-RECORD_KINDS = ("register", "ingest", "series", "day", "lifecycle")
-
-
 class JournalCorruptError(ValueError):
     """The journal holds damage that torn-tail repair cannot explain.
 
@@ -75,13 +76,11 @@ class JournalRecord:
     payload: dict
 
 
-def _f64_b64(values) -> bytes:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes())
-
-
 def encode_f64(values) -> str:
     """Base64 of the little-endian float64 bytes (bit-exact, NaN-safe)."""
-    return _f64_b64(values).decode("ascii")
+    return base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()
+    ).decode("ascii")
 
 
 def decode_f64(data: str) -> np.ndarray:
@@ -99,77 +98,20 @@ _JSON_ENCODE = json.JSONEncoder(
 ).encode
 
 
-def _fast_fragment(value) -> str | None:
-    """JSON fragment for an int or escape-free ASCII string, else None.
-
-    The bulk ``day``/``register`` payloads are exactly ints plus
-    base64/vehicle-id strings; emitting them by hand skips the JSON
-    encoder's per-call machinery on the amortized ingest hot path.
-    ``bool`` is deliberately excluded (``type is int``), and any string
-    needing escapes falls back to the full encoder.
-    """
-    if type(value) is int:
-        return str(value)
-    if (
-        type(value) is str
-        and value.isascii()
-        and value.isprintable()
-        and '"' not in value
-        and "\\" not in value
-    ):
-        return '"' + value + '"'
-    return None
-
-
 def encode_record(seq: int, kind: str, payload: dict) -> bytes:
     """Frame one record as a CRC-terminated JSON line.
 
     ``numpy`` float arrays among the payload values are encoded with
-    :func:`encode_f64` — the serving layer hands bulk readings over as
+    :func:`encode_f64` — the serving layer hands readings over as
     arrays and never needs to import this package; the reader knows
-    which fields are arrays from the record kind.  Flat int/string
-    payloads are framed by hand (identical bytes to the sorted-key
-    encoder output); anything else goes through the JSON encoder.
+    which fields are arrays from the record kind.
     """
     obj = {"q": seq, "k": kind}
-    arrays = None
     for key, value in payload.items():
         if isinstance(value, np.ndarray):
-            # Straight to base64 *bytes*: the KB-scale bulk payload
-            # never round-trips through str, which saves the
-            # decode("ascii") here and the encode("utf-8") of the
-            # assembled line below — two full copies plus an escape
-            # scan on the amortized ingest hot path.
-            if arrays is None:
-                arrays = {}
-            arrays[key] = _f64_b64(value)
+            value = encode_f64(value)
         obj[key] = value
-    chunks = [b"{"]
-    for i, key in enumerate(sorted(obj)):
-        if not (key.isascii() and key.isalnum()):
-            chunks = None
-            break
-        if i:
-            chunks.append(b",")
-        prefix = b'"%s":' % key.encode("ascii")
-        if arrays is not None and key in arrays:
-            # Quotes as separate chunks: the join below is the single
-            # copy the bulk payload pays for framing.
-            chunks += (prefix + b'"', arrays[key], b'"')
-        else:
-            fragment = _fast_fragment(obj[key])
-            if fragment is None:
-                chunks = None
-                break
-            chunks.append(prefix + fragment.encode("ascii"))
-    if chunks is not None:
-        chunks.append(b"}")
-        data = b"".join(chunks)
-    else:
-        if arrays is not None:
-            for key, encoded in arrays.items():
-                obj[key] = encoded.decode("ascii")
-        data = _JSON_ENCODE(obj).encode("utf-8")
+    data = _JSON_ENCODE(obj).encode("utf-8")
     return data + b" %08x\n" % (zlib.crc32(data),)
 
 
@@ -238,8 +180,6 @@ class WriteAheadJournal:
         Journal directory (created if missing).  Segments are named by
         the sequence number of their first record, so replay can skip
         whole segments below a checkpoint's high-water mark.
-    fsync_every:
-        Group-commit width — fsync once per N appended records.
     segment_max_bytes:
         Rotate to a fresh segment beyond this size.
     repair:
@@ -252,22 +192,22 @@ class WriteAheadJournal:
         self,
         root,
         *,
-        fsync_every: int = 64,
         segment_max_bytes: int = 4 * 1024 * 1024,
         repair: bool = True,
     ):
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be >= 1, got {fsync_every}.")
         if segment_max_bytes < 1024:
             raise ValueError(
                 f"segment_max_bytes must be >= 1024, got {segment_max_bytes}."
             )
         self.root = Path(root)
-        self.fsync_every = fsync_every
         self.segment_max_bytes = segment_max_bytes
         self.root.mkdir(parents=True, exist_ok=True)
 
         self.records_appended = 0
+        #: Readings appended (a record without readings counts one):
+        #: the unit :class:`~repro.durability.recovery.RecoveryManager`
+        #: spaces checkpoints by, since replay cost grows with readings.
+        self.entries_appended = 0
         self.fsyncs = 0
         self.torn_records_dropped = 0
 
@@ -415,10 +355,9 @@ class WriteAheadJournal:
     def append(self, kind: str, **payload) -> int:
         """Append one record; returns its sequence number.
 
-        The record is written through a buffered file handle — it is
-        *committed* (will survive reopening) once the OS has it, and
-        *durable* (will survive power loss) once the next group
-        commit fsyncs, at the latest after ``fsync_every`` appends.
+        The record waits in the process buffer until the next
+        :meth:`sync` (or :meth:`flush`) hands it to the OS; only a
+        synced record survives a crash.
         """
         seq = self._last_seq + 1
         line = encode_record(seq, kind, payload)
@@ -428,29 +367,27 @@ class WriteAheadJournal:
         self._file_size += len(line)
         self._last_seq = seq
         self.records_appended += 1
+        readings = payload.get("u")
+        self.entries_appended += 1 if readings is None else len(readings)
         self._pending += 1
-        if self._pending >= self.fsync_every:
-            self._fsync()
         return seq
 
     def _rotate(self, first_seq: int) -> None:
         if self._file is not None:
-            self._fsync()
+            self.sync()
             self._file.close()
         self._open_segment(first_seq)
 
-    def _fsync(self) -> None:
-        if self._file is None or self._pending == 0:
-            return
-        self.flush()
-        os.fsync(self._file.fileno())
-        self._durable_seq = self._last_seq
-        self.fsyncs += 1
-        self._pending = 0
-
     def sync(self) -> int:
-        """Force a group commit; returns the durable sequence number."""
-        self._fsync()
+        """Write and fsync every pending record in one group commit;
+        returns the durable sequence number (no fsync when nothing is
+        pending)."""
+        if self._file is not None and self._pending:
+            self.flush()
+            os.fsync(self._file.fileno())
+            self._durable_seq = self._last_seq
+            self.fsyncs += 1
+            self._pending = 0
         return self._durable_seq
 
     def flush(self) -> None:
@@ -464,7 +401,7 @@ class WriteAheadJournal:
 
     def close(self) -> None:
         if self._file is not None:
-            self._fsync()
+            self.sync()
             self._file.close()
             self._file = None
 

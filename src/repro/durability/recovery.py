@@ -196,48 +196,58 @@ class RecoveryManager:
         self.report: RecoveryReport | None = None
         self.last_checkpoint_seq = 0
         self.checkpoints_taken = 0
+        # ``journal.entries_appended`` at the last checkpoint.
+        self._checkpoint_entries = 0
 
     # -- recovery ----------------------------------------------------------
 
-    def _apply(self, record: JournalRecord) -> None:
-        """Re-execute one journal record against the service."""
+    def _apply(self, record: JournalRecord) -> int:
+        """Re-execute one journal record against the service.
+
+        Returns the record's checkpoint weight: its readings, or one
+        for a record without any (see :attr:`WriteAheadJournal.
+        entries_appended`).
+        """
         payload = record.payload
-        if record.kind == "register":
-            self.service.register_vehicle(payload["v"])
-        elif record.kind == "ingest":
-            self.service.ingest(
-                payload["v"], float(payload["s"]), day=payload.get("d")
-            )
-        elif record.kind == "series":
-            self.service.ingest_series(
-                payload["v"],
-                decode_f64(payload["u"]),
-                start_day=payload.get("d0"),
-            )
-        elif record.kind == "day":
+        service = self.service
+        if record.kind == "day":
             values = decode_f64(payload["u"])
-            day = payload.get("d")
             # A record without "vs" covered the whole registered fleet
             # when it was written; replay is deterministic re-execution,
             # so the sorted registry rebuilt by the preceding "register"
             # records is the column order.
             ids = payload.get("vs")
-            if ids is None:
-                ids = self.service.vehicle_ids
-                if len(ids) != len(values):
-                    raise RecoveryError(
-                        f"fleet-wide day record at seq {record.seq} has "
-                        f"{len(values)} values for {len(ids)} registered "
-                        "vehicles"
-                    )
-            for vehicle_id, seconds in zip(ids, values):
-                self.service.ingest(vehicle_id, float(seconds), day=day)
+            if ids is None and len(service.vehicle_ids) != len(values):
+                raise RecoveryError(
+                    f"fleet-wide day record at seq {record.seq} has "
+                    f"{len(values)} values for "
+                    f"{len(service.vehicle_ids)} registered vehicles"
+                )
+            _, error = service.ingest_batch(
+                ids, values, day=payload.get("d"), days=payload.get("ds")
+            )
+            if error is not None:
+                raise error
+            return max(1, len(values))
+        if record.kind == "register":
+            service.register_vehicle(payload["v"])
+        elif record.kind == "ingest":
+            # Per-reading record of journals written before ingest
+            # became one record per request.
+            service.ingest(payload["v"], payload["s"], day=payload.get("d"))
+        elif record.kind == "series":
+            # Per-backfill record of the same older journals.
+            values = decode_f64(payload["u"])
+            service.ingest_series(
+                payload["v"], values, start_day=payload.get("d0")
+            )
+            return max(1, len(values))
         elif record.kind == "lifecycle":
             # Replay passes no predictor: the promoted/pinned artifact
             # is reloaded from the model store when still present (bit
             # identical), otherwise the service drops to deterministic
             # lazy retraining for that vehicle.
-            self.service.apply_lifecycle_event(
+            service.apply_lifecycle_event(
                 payload["a"],
                 payload["v"],
                 version=payload.get("ver"),
@@ -249,6 +259,7 @@ class RecoveryManager:
                 f"Unknown journal record kind {record.kind!r} "
                 f"at seq {record.seq}."
             )
+        return 1
 
     def recover(self) -> RecoveryReport:
         """Lock, load checkpoint, replay journal, wire up journaling.
@@ -268,7 +279,6 @@ class RecoveryManager:
             with tracing.span("durability.recover", dir=str(self.state_dir)):
                 self.journal = WriteAheadJournal(
                     self.state_dir / "journal",
-                    fsync_every=self.config.fsync_every,
                     segment_max_bytes=self.config.segment_max_bytes,
                 )
                 checkpoint = self.checkpoints.load_latest()
@@ -292,15 +302,16 @@ class RecoveryManager:
                         )
                 replayed = 0
                 replay_errors = 0
+                replayed_entries = 0
                 suspend = getattr(self.service, "journal_suspended", None)
                 for record in self.journal.replay(after_seq=replay_from):
                     replayed += 1
                     try:
                         if suspend is not None:
                             with suspend():
-                                self._apply(record)
+                                replayed_entries += self._apply(record)
                         else:
-                            self._apply(record)
+                            replayed_entries += self._apply(record)
                     except RecoveryError:
                         raise
                     except Exception:
@@ -308,6 +319,9 @@ class RecoveryManager:
                         # (deterministic re-execution); the record still
                         # advances the high-water mark.
                         replay_errors += 1
+                        replayed_entries += 1
+                # The replayed tail counts toward the next checkpoint.
+                self._checkpoint_entries = -replayed_entries
         except BaseException:
             if self.journal is not None:
                 self.journal.close()
@@ -370,6 +384,7 @@ class RecoveryManager:
             state = self.service.state_dict()
             self.checkpoints.save(state, seq=seq)
             self.last_checkpoint_seq = seq
+            self._checkpoint_entries = self.journal.entries_appended
             self.checkpoints_taken += 1
             oldest = self.checkpoints.oldest_retained_seq()
             if oldest:
@@ -379,22 +394,15 @@ class RecoveryManager:
         return seq
 
     def maybe_checkpoint(self) -> bool:
-        """Checkpoint if ``checkpoint_every`` records accrued since last."""
+        """Checkpoint if ``checkpoint_every`` journal entries (readings,
+        or one per record without any) accrued since the last one."""
         if not self.ready or self.journal is None:
             return False
-        pending = self.journal.last_seq - self.last_checkpoint_seq
+        pending = self.journal.entries_appended - self._checkpoint_entries
         if pending < self.config.checkpoint_every:
             return False
         self.checkpoint()
         return True
-
-    def on_ingest_batch(self) -> None:
-        """Gateway hook after each acknowledged ingest batch."""
-        if not self.ready or self.journal is None:
-            return
-        if self.config.sync_on_ack:
-            self.journal.sync()
-        self.maybe_checkpoint()
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -331,11 +331,12 @@ def drift_promotion_drill(
 
 
 def _durability_config():
-    """The drill's journal/checkpoint knobs (imported lazily: serving
-    imports this package, and needs no durability layer)."""
+    """The drill's checkpoint cadence, about every 48 fleet days of 5
+    readings (imported lazily: serving imports this package, and needs
+    no durability layer)."""
     from ..durability import DurabilityConfig
 
-    return DurabilityConfig(fsync_every=4, checkpoint_every=48)
+    return DurabilityConfig(checkpoint_every=240)
 
 
 def _recover_stack(state_dir: Path, *, with_store: bool):
@@ -400,7 +401,9 @@ def lifecycle_kill_drill(
             len(ops) // 2,
         )
         kill_after = (first_sweep + len(ops)) // 2
-    kill_after, killed, applied_acked, durable_acked = run_killed_worker(
+    (
+        kill_after, killed, applied_acked, durable_acked, acked_seq
+    ) = run_killed_worker(
         work_dir,
         ops,
         _worker_stack,
@@ -424,7 +427,8 @@ def lifecycle_kill_drill(
     engine, _, manager = recover_copy("recovered-artifacts", with_store=True)
     service = engine.service
     last_seq = manager.journal.last_seq
-    acked_survived = last_seq >= durable_acked
+    acks_durable = applied_acked == durable_acked
+    acked_survived = last_seq >= acked_seq
     promotes = {}
     for event in service.lifecycle_log:
         if event["action"] in ("promote", "rollback", "pin"):
@@ -481,6 +485,7 @@ def lifecycle_kill_drill(
 
     checks = [
         ("worker killed mid-run", killed),
+        ("every ack was durable when sent", acks_durable),
         ("acknowledged records survived", acked_survived),
         ("replay deterministic across recoveries", replay_deterministic),
         ("journaled promotions reinstalled bit-identically", artifacts_ok),
@@ -494,6 +499,7 @@ def lifecycle_kill_drill(
         "kill_after": kill_after,
         "applied_acked": applied_acked,
         "durable_acked": durable_acked,
+        "acked_seq": acked_seq,
         "last_seq": last_seq,
         "promotions_journaled": len(
             [e for e in lifecycle_log if e["action"] == "promote"]

@@ -21,9 +21,9 @@ this with exact equality.
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 
@@ -72,10 +72,6 @@ class FleetEngine:
         # wires it in after recovery so ingest batches can trigger
         # periodic checkpoints and readiness() can surface its status.
         self.durability = None
-        # (sorted fleet ids, C-level getter) for full-fleet day
-        # batches; keyed by fleet size, which is sound because
-        # vehicles are never deregistered.
-        self._fleet_ids_cache = None
         # Optional LifecycleController (duck-typed); attach_lifecycle()
         # wires it in so the gateway's admin endpoints and readiness()
         # can reach it.
@@ -99,10 +95,10 @@ class FleetEngine:
         """Wire a recovered :class:`~repro.durability.recovery.
         RecoveryManager` into the engine.
 
-        Bulk day-batches then journal one record per batch,
-        :meth:`ingest_day` triggers periodic checkpoints, and
-        :meth:`readiness` (hence the gateway's ``/v1/ready``) reports
-        the durability status.  Call after ``manager.recover()``.
+        :meth:`ingest_day` and :meth:`ingest_records` then trigger
+        periodic checkpoints, and :meth:`readiness` (hence the
+        gateway's ``/v1/ready``) reports the durability status.  Call
+        after ``manager.recover()``.
         """
         self.durability = manager
         self._register_sections()
@@ -167,81 +163,38 @@ class FleetEngine:
     ) -> None:
         """Ingest one day of utilization for part or all of the fleet.
 
-        Vehicles are processed in sorted id order so monitor resolution
-        is deterministic.  When the service carries
-        an ingestion guard, one vehicle's dirty reading can no longer
-        kill the whole fleet batch — it is screened per policy and the
-        rest of the batch proceeds.
-
-        With a journal attached, the whole batch lands as one bulk
-        ``day`` record (base64 float64 values in sorted-id order) and
-        the per-vehicle ingests run with journaling suspended — one
-        framed line instead of N, keeping journal overhead off the
-        per-reading hot path.  A batch covering exactly the registered
-        fleet omits the id list entirely: replay is deterministic
-        re-execution, so by the time the record is applied the same
-        ``register`` records have rebuilt the same fleet and the
-        sorted registry *is* the column order.  JSON-encoding N ids
-        per day was the dominant journal cost; dropping it keeps the
-        amortized overhead under the <10% ingest budget.
+        One :meth:`~repro.serving.service.MaintenancePredictionService.
+        ingest_batch` request in sorted id order, so monitor resolution
+        is deterministic.  An unregistered id raises ``KeyError`` before
+        anything is journaled or applied.  A batch covering the whole
+        registered fleet journals no id list: replay is deterministic
+        re-execution, so the sorted registry rebuilt by the preceding
+        ``register`` records is the column order.  When the service
+        carries an ingestion guard, one vehicle's dirty reading is
+        screened per policy and the rest of the batch proceeds;
+        without one, the first dirty reading raises after the readings
+        before it were applied.
         """
         service = self.service
-        journal = service.journal
-        if journal is not None and service._journal_depth == 0:
-            extra = {} if day is None else {"d": day}
-            # Full-fleet detection by length alone is sound: vehicles
-            # are never deregistered, so an equal-length batch that is
-            # not the fleet must contain an unregistered id — and the
-            # itemgetter raises KeyError for it here, before anything
-            # is journaled or applied (the unguarded per-vehicle path
-            # would raise the same KeyError partway through instead).
-            if len(usage_by_vehicle) == len(service._vehicles):
-                cache = self._fleet_ids_cache
-                if cache is None or len(cache[0]) != len(
-                    service._vehicles
-                ):
-                    ids = sorted(service._vehicles)
-                    getter = (
-                        operator.itemgetter(*ids)
-                        if len(ids) > 1
-                        else (lambda batch, _k=ids[0]: (batch[_k],))
-                        if ids
-                        else (lambda batch: ())
-                    )
-                    cache = self._fleet_ids_cache = (ids, getter)
-                ids, getter = cache
-                values = np.fromiter(
-                    getter(usage_by_vehicle),
-                    dtype=np.float64,
-                    count=len(ids),
-                )
-                service._journal_append("day", u=values, **extra)
-            else:
-                ids = sorted(usage_by_vehicle)
-                values = np.fromiter(
-                    (usage_by_vehicle[v] for v in ids),
-                    dtype=np.float64,
-                    count=len(ids),
-                )
-                service._journal_append("day", vs=ids, u=values, **extra)
-            # Suspend journaling by stashing the journal itself (the
-            # per-reading ingest check then short-circuits exactly as
-            # in journal-off mode) and iterate tolist(), not the
-            # array (which boxes a fresh np.float64 per element): at
-            # fleet width either would cost more than the append.
-            service.journal = None
-            try:
-                for vehicle_id, seconds in zip(ids, values.tolist()):
-                    service.ingest(vehicle_id, seconds, day=day)
-            finally:
-                service.journal = journal
-            if self.durability is not None:
-                self.durability.maybe_checkpoint()
-            return
-        for vehicle_id in sorted(usage_by_vehicle):
-            service.ingest(
-                vehicle_id, float(usage_by_vehicle[vehicle_id]), day=day
+        unknown = usage_by_vehicle.keys() - service._vehicles.keys()
+        if unknown:
+            raise KeyError(
+                f"Unknown vehicle {min(unknown)!r}; register it first."
             )
+        ids = sorted(usage_by_vehicle)
+        values = np.fromiter(
+            map(usage_by_vehicle.__getitem__, ids),
+            dtype=np.float64,
+            count=len(ids),
+        )
+        whole_fleet = len(ids) == len(service._vehicles)
+        _, error = service.ingest_batch(
+            None if whole_fleet else ids, values, day=day
+        )
+        if self.durability is not None:
+            self.durability.maybe_checkpoint()
+        if error is not None:
+            raise error
 
     def ingest_history(self, vehicle_id: str, usage) -> None:
         self.service.ingest_series(vehicle_id, usage)
@@ -254,33 +207,36 @@ class FleetEngine:
     ) -> tuple[int, str | None]:
         """Apply gateway-shaped ``(vehicle_id, seconds, day)`` records.
 
-        Records are applied in the given order; the first failure stops
-        the batch and is returned as ``(ingested_so_far, error)`` —
-        whatever was applied before it stays applied (and journaled).
-        This is the single ingest entry point shared by the in-process
-        gateway lane and the sharded worker processes.
+        This is the ingest entry point shared by the in-process gateway
+        lane and the sharded worker processes: one
+        :meth:`~repro.serving.service.MaintenancePredictionService.
+        ingest_batch` request, so the reply is sent only after the
+        batch is on stable storage.  Records apply in the given order;
+        the first failure stops the batch and is returned as
+        ``(ingested_so_far, error)`` — whatever was applied before it
+        stays applied.  With ``auto_register``, each unknown vehicle
+        the batch reaches is registered first (one ``register`` record
+        each); without it, an unknown vehicle is the failure.
         """
         service = self.service
-        ingested = 0
-        error = None
-        for vehicle_id, seconds, day in records:
-            if not service.has_vehicle(vehicle_id):
-                if not auto_register:
-                    error = f"unknown vehicle {vehicle_id!r}"
-                    break
-                service.register_vehicle(vehicle_id)
-            try:
-                service.ingest(vehicle_id, seconds, day=day)
-            except ValueError as exc:
-                error = str(exc)
-                break
-            ingested += 1
-        # Durability hook even on partial batches: whatever was applied
-        # is already journaled, and sync_on_ack makes the 200/422 reply
-        # imply those records are on stable storage.
+        ids = [r[0] for r in records]
+        seconds = [r[1] for r in records]
+        if auto_register:
+            # Up to and including the first reading an unguarded
+            # service rejects: where the batch will stop.
+            for vehicle_id in ids[: service.first_rejected(seconds) + 1]:
+                if not service.has_vehicle(vehicle_id):
+                    service.register_vehicle(vehicle_id)
+        ingested, error = service.ingest_batch(
+            ids, seconds, days=[r[2] for r in records]
+        )
         if self.durability is not None:
-            self.durability.on_ingest_batch()
-        return ingested, error
+            self.durability.maybe_checkpoint()
+        if error is None:
+            return ingested, None
+        if not service.has_vehicle(ids[ingested]):
+            return ingested, f"unknown vehicle {ids[ingested]!r}"
+        return ingested, str(error)
 
     # -- health ------------------------------------------------------------
 
@@ -325,8 +281,9 @@ class FleetEngine:
         different traces, so the gateway passes each request's root
         span explicitly.  The one ``predict_batch`` call runs each
         vehicle's routing under its own span (so ladder events land on
-        the right trace), and each traced request then gets an
-        ``engine.predict`` child spanning the shared batch.  Sorting is
+        the right trace), and each traced request then gets one
+        ``engine.predict`` child spanning the shared batch, carrying
+        how many of the batch's vehicles it asked for.  Sorting is
         stable, so spans stay attached to their ids.  Tracing only
         records — forecasts are bit-identical with spans on or off.
         """
@@ -345,16 +302,16 @@ class FleetEngine:
             t0 = time.perf_counter()
             forecasts = self.service.predict_batch(ids, spans=spans)
             t1 = time.perf_counter()
-            for vehicle_id, span in zip(ids, spans):
-                if span is not None:
-                    span.tracer.record_span(
-                        "engine.predict",
-                        span,
-                        t0,
-                        t1,
-                        vehicle_id=vehicle_id,
-                        batched=True,
-                    )
+            vehicles = Counter(span for span in spans if span is not None)
+            for span, count in vehicles.items():
+                span.tracer.record_span(
+                    "engine.predict",
+                    span,
+                    t0,
+                    t1,
+                    vehicles=count,
+                    batched=True,
+                )
             return forecasts
 
     # -- lifecycle ---------------------------------------------------------

@@ -6,7 +6,9 @@ in-process.  :class:`FleetGateway` puts a stdlib-only asyncio
 JSON-over-HTTP front end on :class:`~repro.serving.engine.FleetEngine`:
 
 ``POST /v1/ingest``
-    One day of utilization, single reading or batch.
+    One day of utilization, single reading or batch.  On a durable
+    engine the reply (200 or 422) leaves only once every reading it
+    applied is fsynced.
 ``GET /v1/predict/{vehicle_id}``
     Forecast for one vehicle (``?deadline_ms=`` overrides the default
     per-request deadline).

@@ -24,6 +24,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -452,9 +453,9 @@ class MaintenancePredictionService:
         #: Audit trail of lifecycle decisions (bounded ring, newest last).
         self.lifecycle_log: list[dict] = []
         self._make_predictor = predictor_factory or make_predictor
-        # Write-ahead journal (duck-typed: anything with ``append``).
-        # ``None`` keeps journaling entirely off the ingest hot path;
-        # the recovery manager wires one in after replay completes.
+        # Write-ahead journal (duck-typed: ``append`` and ``sync``).
+        # ``None`` keeps journaling off; the recovery manager wires one
+        # in after replay completes.
         self.journal = None
         self._journal_depth = 0  # > 0 suppresses journaling (replay)
         self._vehicles: dict[str, _VehicleState] = {}
@@ -474,24 +475,12 @@ class MaintenancePredictionService:
 
     @contextmanager
     def journal_suspended(self):
-        """Suppress journaling inside the block (recovery replay, and
-        bulk paths that journaled one record for the whole batch)."""
+        """Suppress journaling inside the block (recovery replay)."""
         self._journal_depth += 1
         try:
             yield
         finally:
             self._journal_depth -= 1
-
-    def _journal_append(self, kind: str, **payload) -> int | None:
-        """Journal one mutation record; no-op without an active journal.
-
-        The per-reading :meth:`ingest` hot path inlines this check
-        instead of calling here — a method call plus kwargs dict per
-        reading would cost real throughput when journaling is off.
-        """
-        if self.journal is None or self._journal_depth:
-            return None
-        return self.journal.append(kind, **payload)
 
     # -- ingestion -----------------------------------------------------------
 
@@ -547,32 +536,89 @@ class MaintenancePredictionService:
         data.  ``day`` is the report's day index; providing it enables
         duplicate-day and out-of-order detection.
         """
-        with self._stage("ingest", vehicle_id=vehicle_id):
-            # Journal-before-apply, inlined (see _journal_append): the
-            # journal holds the *requested* reading, pre-guard, so
-            # replay routes it through the same screening and lands on
-            # the same applied state.
-            if self.journal is not None and self._journal_depth == 0:
-                if day is None:
-                    self.journal.append("ingest", v=vehicle_id, s=daily_seconds)
-                else:
-                    self.journal.append(
-                        "ingest", v=vehicle_id, s=daily_seconds, d=day
-                    )
-            if self.guard is None:
-                if not np.isfinite(daily_seconds) or not 0 <= daily_seconds <= 86_400:
-                    raise ValueError(
-                        f"daily_seconds must be in [0, 86400], got {daily_seconds}."
-                    )
-                state = self._state(vehicle_id)
-                self._append(vehicle_id, state, float(daily_seconds))
-                return
-            state = self._state(vehicle_id)
-            value = self.guard.admit(
-                vehicle_id, daily_seconds, day=day, recent=state.usage
+        _, error = self.ingest_batch([vehicle_id], [daily_seconds], day=day)
+        if error is not None:
+            raise error
+
+    def ingest_batch(
+        self,
+        vehicle_ids,
+        seconds,
+        *,
+        day: int | None = None,
+        days=None,
+    ) -> tuple[int, Exception | None]:
+        """The one ingest path: journal the request, sync, then apply.
+
+        ``vehicle_ids[i]`` reports ``seconds[i]``; ``vehicle_ids=None``
+        means every registered vehicle in sorted id order.  ``day``
+        dates every reading, or ``days`` gives one day (or ``None``)
+        per reading.  With a journal attached, the request lands as one
+        ``day`` record — the *requested* readings, pre-guard, so replay
+        screens them again and reaches the same state — which is
+        fsynced before anything is applied: once this returns, every
+        reading it applied is on stable storage, so the caller's ack is
+        durable.  Readings apply in order; the first one that fails
+        (``KeyError`` for an unregistered vehicle, ``ValueError`` for a
+        dirty reading without a guard) stops the batch.  Returns
+        ``(applied, error)``: the prefix stays applied and the error is
+        returned, not raised.
+        """
+        if isinstance(seconds, np.ndarray):
+            seconds = seconds.tolist()  # not one boxed np.float64 each
+        ids = self.vehicle_ids if vehicle_ids is None else vehicle_ids
+        if len(ids) != len(seconds):
+            raise ValueError(
+                f"{len(seconds)} readings for {len(ids)} vehicle ids."
             )
-            if value is not None:
-                self._append(vehicle_id, state, value)
+        journal = self.journal
+        if journal is not None and not self._journal_depth:
+            payload = {"u": np.asarray(seconds, dtype=np.float64)}
+            if vehicle_ids is not None:
+                payload["vs"] = list(vehicle_ids)
+            if day is not None:
+                payload["d"] = day
+            if days is not None:
+                payload["ds"] = list(days)
+            journal.append("day", **payload)
+            journal.sync()
+        guard = self.guard
+        applied = 0
+        with self._stage("ingest", readings=len(seconds)):
+            try:
+                for vehicle_id, value, reading_day in zip(
+                    ids, seconds, repeat(day) if days is None else days
+                ):
+                    if guard is None:
+                        if not np.isfinite(value) or not 0 <= value <= 86_400:
+                            raise ValueError(
+                                "daily_seconds must be in [0, 86400], "
+                                f"got {value}."
+                            )
+                        state = self._state(vehicle_id)
+                        self._append(vehicle_id, state, float(value))
+                    else:
+                        state = self._state(vehicle_id)
+                        value = guard.admit(
+                            vehicle_id, value, day=reading_day,
+                            recent=state.usage,
+                        )
+                        if value is not None:
+                            self._append(vehicle_id, state, value)
+                    applied += 1
+            except (KeyError, ValueError) as exc:
+                return applied, exc
+        return applied, None
+
+    def first_rejected(self, seconds) -> int:
+        """Index of the first reading an unguarded service would reject
+        (``len(seconds)`` when none would; a guard rejects none)."""
+        values = np.asarray(seconds, dtype=np.float64)
+        if self.guard is None:
+            invalid = ~((values >= 0) & (values <= 86_400))
+            if invalid.any():
+                return int(np.argmax(invalid))
+        return values.size
 
     def _append(self, vehicle_id: str, state: _VehicleState, value) -> None:
         """The one place a usage history grows: the routing index hears
@@ -587,33 +633,27 @@ class MaintenancePredictionService:
         """Append many days atomically: validate all, then commit.
 
         Without a guard, any invalid reading raises *before* a single
-        day is appended — a bad element mid-array no longer leaves the
-        earlier days behind.  With a guard, every reading is screened
-        individually (the guard never raises).  ``start_day`` gives the
-        day index of ``usage[0]`` for the guard's ordering checks.
+        day is appended (or journaled).  With a guard, every reading is
+        screened individually (the guard never raises).  ``start_day``
+        gives the day index of ``usage[0]`` for the guard's ordering
+        checks.
         """
         values = np.asarray(usage, dtype=np.float64)
         self._state(vehicle_id)  # unknown-vehicle check before any mutation
-        # One bulk journal record for the whole batch (base64 float64
-        # payload, bit-exact); the per-element ingests below run with
-        # journaling suspended.
-        if start_day is None:
-            self._journal_append("series", v=vehicle_id, u=values)
-        else:
-            self._journal_append("series", v=vehicle_id, u=values, d0=start_day)
-        if self.guard is None and values.size:
-            valid = np.isfinite(values) & (values >= 0) & (values <= 86_400)
-            if not valid.all():
-                index = int(np.argmax(~valid))
-                raise ValueError(
-                    f"ingest_series for {vehicle_id!r} rejected: element "
-                    f"{index} ({values[index]}) outside [0, 86400]; "
-                    "no days were ingested."
-                )
-        with self.journal_suspended():
-            for offset, seconds in enumerate(values):
-                day = None if start_day is None else start_day + offset
-                self.ingest(vehicle_id, float(seconds), day=day)
+        index = self.first_rejected(values)
+        if index < values.size:
+            raise ValueError(
+                f"ingest_series for {vehicle_id!r} rejected: element "
+                f"{index} ({values[index]}) outside [0, 86400]; "
+                "no days were ingested."
+            )
+        self.ingest_batch(
+            [vehicle_id] * values.size,
+            values,
+            days=None if start_day is None else range(
+                start_day, start_day + values.size
+            ),
+        )
 
     # -- vehicle views ---------------------------------------------------------
 
@@ -1023,8 +1063,9 @@ class MaintenancePredictionService:
         the new champion), ``rollback`` / ``pin`` (pin the vehicle to a
         stored version and serve it), ``unpin`` (release the pin; the
         normal freshness rules apply again).  The decision is journaled
-        *before* it is applied, so a crash mid-install replays to the
-        same state; replay passes no ``predictor`` and reloads the
+        and fsynced *before* it is applied, so a crash mid-install
+        replays to the same state and an acknowledged decision is
+        durable; replay passes no ``predictor`` and reloads the
         artifact from the store (or leaves the model to lazy retrain
         when the artifact is gone).  Returns the audit-log entry.
         """
@@ -1045,6 +1086,7 @@ class MaintenancePredictionService:
             if reason is not None:
                 payload["r"] = reason
             self.journal.append("lifecycle", **payload)
+            self.journal.sync()
         pinned = action in ("rollback", "pin")
         state.pinned_version = int(version) if pinned else None
         if action != "unpin":

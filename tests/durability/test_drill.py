@@ -49,7 +49,12 @@ class TestKillRecovery:
         assert report["acked_survived"]
         assert report["forecasts_match"]
         assert report["health_match"]
-        assert report["last_seq"] >= report["durable_acked"]
+        # Every ack was durable when sent, and recovery kept them all:
+        # ops map 1:1 onto journal records here.
+        assert report["acks_durable"]
+        assert report["applied_acked"] == report["durable_acked"]
+        assert report["acked_seq"] == report["applied_acked"]
+        assert report["last_seq"] >= report["acked_seq"]
         # The drill recovered a copy: ``state/`` is left as the worker
         # died, with journal records past its last checkpoint.
         dry = dry_run(tmp_path / "drill" / "state", capsys)
@@ -69,6 +74,8 @@ class TestKillRecovery:
         assert report["ok"], report
         assert report["torn_tail"]
         assert report["torn_records_dropped"] >= 1
+        assert report["applied_acked"] == report["durable_acked"]
+        assert report["last_seq"] >= report["acked_seq"]
         assert report["acked_survived"]
         assert report["forecasts_match"]
         dry = dry_run(tmp_path / "drill" / "state", capsys)

@@ -58,11 +58,11 @@ class TestFraming:
 
 class TestAppendReplay:
     def test_reopen_replays_committed_records(self, tmp_path):
-        with WriteAheadJournal(tmp_path / "j", fsync_every=2) as journal:
+        with WriteAheadJournal(tmp_path / "j") as journal:
             for i in range(5):
                 journal.append("ingest", v="v01", s=i)
             assert journal.last_seq == 5
-        reopened = WriteAheadJournal(tmp_path / "j", fsync_every=2)
+        reopened = WriteAheadJournal(tmp_path / "j")
         records = list(reopened.replay())
         assert [r.seq for r in records] == [1, 2, 3, 4, 5]
         assert [r.payload["s"] for r in records] == list(range(5))
@@ -75,19 +75,21 @@ class TestAppendReplay:
             assert [r.seq for r in journal.replay(after_seq=2)] == [3, 4]
 
     def test_group_commit_durable_seq(self, tmp_path):
-        journal = WriteAheadJournal(tmp_path / "j", fsync_every=3)
-        journal.append("ingest", v="v01", s=0)
-        journal.append("ingest", v="v01", s=1)
-        assert journal.durable_seq == 0  # below the fsync threshold
-        journal.append("ingest", v="v01", s=2)
-        assert journal.durable_seq == 3  # group commit fired
-        journal.append("ingest", v="v01", s=3)
-        assert journal.sync() == 4
+        journal = WriteAheadJournal(tmp_path / "j")
+        journal.append("register", v="v01")
+        journal.append("day", vs=["v01"], u=np.array([1.0]))
+        journal.append("day", vs=["v01"], u=np.array([2.0]))
+        assert journal.durable_seq == 0  # appends alone are not durable
+        assert journal.sync() == 3  # one fsync commits all three
+        assert journal.fsyncs == 1
+        assert journal.sync() == 3  # nothing pending: no second fsync
+        assert journal.fsyncs == 1
+        assert journal.entries_appended == 3  # two readings + a register
         journal.close()
 
     def test_segment_rotation(self, tmp_path):
         journal = WriteAheadJournal(
-            tmp_path / "j", fsync_every=1, segment_max_bytes=1024
+            tmp_path / "j", segment_max_bytes=1024
         )
         for i in range(60):
             journal.append("ingest", v="v01", s=i)
@@ -99,7 +101,7 @@ class TestAppendReplay:
 
     def test_prune_drops_old_segments(self, tmp_path):
         journal = WriteAheadJournal(
-            tmp_path / "j", fsync_every=1, segment_max_bytes=1024
+            tmp_path / "j", segment_max_bytes=1024
         )
         for i in range(100):
             journal.append("ingest", v="v01", s=i)
@@ -115,7 +117,7 @@ class TestAppendReplay:
 
 class TestRepair:
     def _journal_with_records(self, root, n=4):
-        with WriteAheadJournal(root, fsync_every=1) as journal:
+        with WriteAheadJournal(root) as journal:
             for i in range(n):
                 journal.append("ingest", v="v01", s=i)
 

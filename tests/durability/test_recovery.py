@@ -154,8 +154,14 @@ class TestJournalBeforeApply:
         service.register_vehicle("v01")
         service.ingest("v01", 20_000.0, day=0)
         service.ingest_series("v01", [19_000.0, 21_000.0], start_day=1)
-        kinds = [r.kind for r in manager.journal.replay()]
-        assert kinds == ["register", "ingest", "series"]
+        records = list(manager.journal.replay())
+        # One record per request: a reading and a backfill are both
+        # ``day`` records, each fsynced before the call returned.
+        assert [r.kind for r in records] == ["register", "day", "day"]
+        assert records[1].payload["vs"] == ["v01"]
+        assert records[1].payload["d"] == 0
+        assert records[2].payload["ds"] == [1, 2]
+        assert manager.journal.durable_seq == manager.journal.last_seq
         manager.close()
 
     def test_replay_does_not_rejournal(self, tmp_path):

@@ -156,14 +156,15 @@ class TestKillDrill:
         assert report["ok"], report
         assert report["promotions_journaled"] >= 1
         assert report["artifacts_checked"] >= 1
-        assert report["last_seq"] >= report["durable_acked"]
+        assert report["applied_acked"] == report["durable_acked"]
+        assert report["last_seq"] >= report["acked_seq"]
         failed = [c["name"] for c in report["checks"] if not c["ok"]]
         assert failed == []
 
     def test_drill_leaves_the_killed_state(self, tmp_path, capsys):
         # Killed mid-sweep between two checkpoints (the drill
-        # checkpoints every 48 records; seed 0's default kill point
-        # lands on one), ``state/`` keeps journal records past its last
+        # checkpoints every 240 journaled readings; seed 0's default
+        # kill point lands on one), ``state/`` keeps journal records past its last
         # checkpoint and the dead worker's lock, because every
         # recovery ran on a copy.
         report = lifecycle_kill_drill(

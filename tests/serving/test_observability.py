@@ -242,7 +242,7 @@ class TestTracePropagation:
         # service.predict call as a child of its root, so the chain is
         # unbroken even though one predict_many served the batch.
         engine_span = by_name["engine.predict"]
-        assert engine_span["attributes"]["vehicle_id"] == "v00"
+        assert engine_span["attributes"]["vehicles"] == 1
         assert engine_span["parent_id"] == root["span_id"]
         assert engine_span["status"] == "ok"
         assert engine_span["duration_ms"] >= 0.0
@@ -517,3 +517,34 @@ class TestStageTimingPerBatch:
             "predict": 1,
         }
         assert all(r["vehicles"] == 24 for r in records)
+
+
+class TestDepotReadTrace:
+    def test_traced_depot_read_leaves_one_engine_span(self):
+        """A traced 24-vehicle ``predict:batch`` records its root span
+        and one ``engine.predict`` child carrying the vehicle count,
+        not one identical child per vehicle."""
+        usage = fleet_usage(n_vehicles=24)
+
+        async def scenario():
+            engine = FleetEngine(t_v=T_V, window=0, algorithm="LR")
+            engine.register_fleet(usage)
+            for vehicle_id, series in usage.items():
+                engine.ingest_history(vehicle_id, series)
+            gateway = await started_gateway(engine=engine)
+            response = await gateway.handle_request(
+                "POST",
+                "/v1/predict:batch",
+                json.dumps({"vehicle_ids": list(usage)}).encode(),
+                headers={ID_HEADER_KEY: "depot-1"},
+            )
+            trace = await gateway.handle_request("GET", "/v1/trace/depot-1")
+            await gateway.shutdown()
+            return response, trace
+
+        response, trace = run(scenario())
+        assert response.status == 200
+        spans = trace.payload["spans"]
+        assert len(spans) == 2
+        (child,) = [s for s in spans if s["name"] == "engine.predict"]
+        assert child["attributes"]["vehicles"] == 24
