@@ -661,6 +661,19 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _preload(engine, histories) -> None:
+    """Register ``(vehicle_id, usage)`` histories in order and backfill
+    them as one ingest request, so the models they need train in one
+    fused pass at its end."""
+    records = []
+    for vehicle_id, usage in histories:
+        engine.service.register_vehicle(vehicle_id)
+        records += [(vehicle_id, float(seconds), None) for seconds in usage]
+    ingested, error = engine.ingest_records(records, auto_register=False)
+    if error is not None:
+        raise ValueError(f"preload stopped after {ingested} readings: {error}")
+
+
 def _cmd_obs(args) -> int:
     """Profile the pipeline stages over a deterministic scenario.
 
@@ -695,17 +708,16 @@ def _cmd_obs(args) -> int:
     engine.attach_observability(obs)
 
     if fleet is not None:
-        for vehicle in fleet.vehicles:
-            engine.service.register_vehicle(vehicle.vehicle_id)
-            engine.ingest_history(vehicle.vehicle_id, vehicle.usage)
+        _preload(engine, ((v.vehicle_id, v.usage) for v in fleet.vehicles))
     else:
         rng = np.random.default_rng(args.seed)
-        for i in range(args.vehicles):
-            vehicle_id = f"v{i:02d}"
-            engine.service.register_vehicle(vehicle_id)
-            engine.ingest_history(
-                vehicle_id, rng.uniform(10_000, 28_000, size=args.days)
-            )
+        _preload(
+            engine,
+            [
+                (f"v{i:02d}", rng.uniform(10_000, 28_000, size=args.days))
+                for i in range(args.vehicles)
+            ],
+        )
     forecasts = engine.predict_all()
 
     if args.summary:
@@ -788,14 +800,14 @@ def _cmd_serve(args) -> int:
                 ),
             )
             if fleet is not None:
-                for vehicle in fleet.vehicles:
-                    if router.shard_for(vehicle.vehicle_id) == shard_index:
-                        shard_engine.service.register_vehicle(
-                            vehicle.vehicle_id
-                        )
-                        shard_engine.ingest_history(
-                            vehicle.vehicle_id, vehicle.usage
-                        )
+                _preload(
+                    shard_engine,
+                    (
+                        (v.vehicle_id, v.usage)
+                        for v in fleet.vehicles
+                        if router.shard_for(v.vehicle_id) == shard_index
+                    ),
+                )
             return shard_engine
 
         engine = ShardedFleetEngine(
@@ -832,9 +844,7 @@ def _cmd_serve(args) -> int:
             **service_kwargs,
         )
         if fleet is not None:
-            for vehicle in fleet.vehicles:
-                engine.service.register_vehicle(vehicle.vehicle_id)
-                engine.ingest_history(vehicle.vehicle_id, vehicle.usage)
+            _preload(engine, ((v.vehicle_id, v.usage) for v in fleet.vehicles))
             print(
                 f"preloaded {len(fleet.vehicles)} vehicles from {args.input}"
             )

@@ -15,6 +15,8 @@ service and reports ready.  Replay is deterministic: the journal holds
 the *requested* mutations (pre-guard), so re-execution routes every
 record through the same guard/clamp/quarantine logic and reproduces the
 applied state exactly — including records that originally raised.
+Load and replay run in one ``journal_suspended`` block of the service,
+so the models they make stale train once, at its end.
 
 Recovery metrics and spans flow through :mod:`repro.obs` when an
 :class:`~repro.obs.Observability` bundle is attached.
@@ -245,8 +247,8 @@ class RecoveryManager:
         elif record.kind == "lifecycle":
             # Replay passes no predictor: the promoted/pinned artifact
             # is reloaded from the model store when still present (bit
-            # identical), otherwise the service drops to deterministic
-            # lazy retraining for that vehicle.
+            # identical); otherwise the end-of-recovery refresh retrains
+            # that vehicle deterministically.
             service.apply_lifecycle_event(
                 payload["a"],
                 payload["v"],
@@ -276,7 +278,10 @@ class RecoveryManager:
         preloaded = bool(getattr(self.service, "vehicle_ids", None))
         self.lock.acquire()
         try:
-            with tracing.span("durability.recover", dir=str(self.state_dir)):
+            with (
+                tracing.span("durability.recover", dir=str(self.state_dir)),
+                self.service.journal_suspended(),
+            ):
                 self.journal = WriteAheadJournal(
                     self.state_dir / "journal",
                     segment_max_bytes=self.config.segment_max_bytes,
@@ -303,15 +308,10 @@ class RecoveryManager:
                 replayed = 0
                 replay_errors = 0
                 replayed_entries = 0
-                suspend = getattr(self.service, "journal_suspended", None)
                 for record in self.journal.replay(after_seq=replay_from):
                     replayed += 1
                     try:
-                        if suspend is not None:
-                            with suspend():
-                                replayed_entries += self._apply(record)
-                        else:
-                            replayed_entries += self._apply(record)
+                        replayed_entries += self._apply(record)
                     except RecoveryError:
                         raise
                     except Exception:

@@ -345,7 +345,7 @@ def _recover_stack(state_dir: Path, *, with_store: bool):
     Returns ``(engine, controller, manager)``; the caller closes the
     manager.  ``with_store`` points the service at the worker's model
     store (journaled promotions then reinstall the exact artifacts);
-    without it, replay degrades to deterministic lazy retraining.
+    without it, recovery retrains every champion deterministically.
     """
     from ..durability import RecoveryManager
 
@@ -422,8 +422,8 @@ def lifecycle_kill_drill(
         shutil.copytree(state_dir, copy_dir)
         return _recover_stack(copy_dir, with_store=with_store)
 
-    # Artifact-integrity pass first: reads of promoted vehicles reload
-    # stored versions (frozen champions never retrain).
+    # Artifact-integrity pass first: recovery reinstalls the stored
+    # versions of promoted vehicles (frozen champions never retrain).
     engine, _, manager = recover_copy("recovered-artifacts", with_store=True)
     service = engine.service
     last_seq = manager.journal.last_seq
@@ -443,20 +443,19 @@ def lifecycle_kill_drill(
         if version not in service.store.versions(key):
             continue  # pruned after a later promotion: consistent
         artifacts_checked += 1
-        # A promotion journaled before the last checkpoint is restored
-        # as a version number with a lazy model; the first read must
-        # reload the exact stored artifact, not retrain.
-        served = service.predict(vid).model_version
+        # Recovery itself must have reinstalled the exact stored
+        # artifact, not retrained, before any read; a read then serves
+        # that version.
         champion = service.champion(vid)
         stored = service.store.load(key, version)
-        if served != version or champion.version != version:
-            artifacts_ok = False
-            continue
-        if not np.array_equal(
-            np.asarray(champion.predictor.predict(probe)),
-            np.asarray(stored.predictor.predict(probe)),
-        ):
-            artifacts_ok = False
+        artifacts_ok &= (
+            champion.version == version
+            and np.array_equal(
+                np.asarray(champion.predictor.predict(probe)),
+                np.asarray(stored.predictor.predict(probe)),
+            )
+            and service.predict(vid).model_version == version
+        )
     lifecycle_log = [dict(e) for e in service.lifecycle_log]
     manager.close()
 

@@ -7,10 +7,11 @@ make one
 :meth:`~repro.serving.service.MaintenancePredictionService.predict_batch`
 call, which stacks vehicles sharing a model into one kernel call, and
 return forecasts sorted by vehicle id.  A read touches only the
-vehicles it asks for: routing looks models up in the service's one
-model table, and a per-vehicle row whose trained-cycle key is behind
-the vehicle's completed cycles is retrained when that vehicle is
-routed — the one place that decides a model is stale.
+vehicles it asks for and trains nothing: routing looks models up in
+the service's one model table.  Models train where they go stale, at
+the end of the ingest request that completes a cycle or moves the
+donor pool (``MaintenancePredictionService._refresh_models``, the one
+place that decides a model is stale).
 
 Serial-equivalence contract: every forecast is bit-identical to what
 the plain serial service would produce on the same history, because
@@ -45,9 +46,10 @@ class FleetEngine:
         An existing service to drive; when ``None`` a fresh one is
         built from ``service_kwargs`` (``t_v`` is then required).
 
-    Everything runs on the calling thread: a read can retrain only the
-    vehicles in its batch, when their model-table row is stale.  Faults are injected below the engine, at
-    the service's ``predictor_factory`` (see
+    Everything runs on the calling thread: an ingest call trains the
+    models it made stale before it returns, and a read only looks
+    models up.  Faults are injected below the engine, at the service's
+    ``predictor_factory`` (see
     :func:`~repro.serving.faults.faulty_predictor_factory`), so
     training and prediction both exercise it.
     """

@@ -18,7 +18,6 @@ and the ground truth becomes known.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -55,14 +54,21 @@ from .reliability import (
 __all__ = ["Forecast", "MaintenancePredictionService"]
 
 #: Section-4 strategy ladder per category.  Routing takes the first
-#: rung with a model; a rung without donors steps down silently, and
-#: the resilient service also steps down on an open circuit or a
+#: rung with an installed row; a rung without one steps down silently,
+#: and the resilient service also steps down on an open circuit or a
 #: failure, ending at the Eq. 5-6 baseline (which needs only the
 #: vehicle's own usage history).
 _STRATEGY_LADDER: dict[VehicleCategory, tuple[str, ...]] = {
     VehicleCategory.OLD: ("per-vehicle", "similarity", "unified"),
     VehicleCategory.SEMI_NEW: ("similarity", "unified"),
     VehicleCategory.NEW: ("unified",),
+}
+
+#: Ladder strategy served by each model-table scope kind.
+_SCOPE_STRATEGY = {
+    "per-vehicle": "per-vehicle",
+    "sim": "similarity",
+    "uni": "unified",
 }
 
 
@@ -177,9 +183,7 @@ class ModelEntry(NamedTuple):
     """One model-table row: a predictor, its one freshness ``key``
     (trained completed cycles for ``per-vehicle``, the donor id for
     ``sim``, the donor id set for ``uni``) and its store ``version``
-    (per-vehicle only; cold-start models are never stored).  A row
-    restored from a checkpoint has a version and no predictor until the
-    first read reloads it."""
+    (per-vehicle only; cold-start models are never stored)."""
 
     predictor: object | None
     key: object
@@ -187,28 +191,6 @@ class ModelEntry(NamedTuple):
 
 
 _NO_CHAMPION = ModelEntry(None, -1)  # no per-vehicle row installed
-
-
-def _uni_scope(donor_ids: frozenset[str]) -> str:
-    """Model-table scope of the Model_Uni fitted on ``donor_ids``."""
-    joined = ",".join(sorted(donor_ids)).encode()
-    return f"uni:{hashlib.blake2b(joined, digest_size=8).hexdigest()}"
-
-
-class _Fit:
-    """One model-table row a read batch must train: its scope and
-    freshness key, a fresh predictor and a ``data()`` callable that
-    builds ``(dataset, fit kwargs)``.  Routing queues it; until the
-    batch's fused pass (:meth:`MaintenancePredictionService._train`)
-    sets ``entry`` or ``error``, it stands in for the row."""
-
-    __slots__ = ("scope", "key", "predictor", "data", "entry", "error")
-
-    def __init__(self, scope: str, key, predictor, data):
-        self.scope, self.key = scope, key
-        self.predictor, self.data = predictor, data
-        self.entry: ModelEntry | None = None
-        self.error: Exception | None = None
 
 
 @dataclass
@@ -230,21 +212,20 @@ class _VehicleState:
 
 
 class _FleetIndex:
-    """Who is OLD, and the Section-4.4 donor pool, kept current by ingest.
+    """Categories and the Section-4.4 donor pool, kept current by ingest.
 
     Categories and donors are functions of the usage histories alone,
     and a history changes only when ingest appends a day.  Each append
-    records its vehicle in :attr:`touched`; the first read after it
-    (:meth:`MaintenancePredictionService._fleet_index`) re-categorizes
-    just those vehicles.  Routing then costs O(batch + vehicles appended
-    since the last read) instead of a fleet walk per vehicle; only a
-    change of membership re-sorts the OLD ids or the donors.  Model
-    state is never cached here: routing reads it live.
+    records its vehicle in :attr:`touched`; the model refresh at the end
+    of the request (:meth:`MaintenancePredictionService._refresh_models`)
+    drains them, re-categorizing just those vehicles, so a read only
+    looks categories up.  Only a change of membership re-sorts the
+    donors.  Model state is never cached here.
     """
 
     __slots__ = (
-        "touched", "rank", "category", "old", "donors", "donor_ids",
-        "uni_scope", "epoch",
+        "touched", "rank", "category", "cold", "donors", "donor_ids",
+        "epoch",
     )
 
     def __init__(self, vehicle_ids=()):
@@ -254,62 +235,59 @@ class _FleetIndex:
         #: Registration position of every vehicle.
         self.rank: dict[str, int] = {vid: i for i, vid in enumerate(ids)}
         self.category: dict[str, VehicleCategory] = {}
-        #: OLD vehicles in sorted id order -> series as of the last drain.
-        self.old: dict[str, VehicleSeries] = {}
+        #: SEMI-NEW and NEW vehicles: the ones a donor change reroutes.
+        self.cold: dict[str, None] = {}
         #: OLD vehicles whose first cycle completed, in registration
-        #: order (Model_Uni concatenates their first cycles in it).
+        #: order (Model_Uni concatenates their first cycles in it) ->
+        #: their series when they joined (for that frozen first cycle).
         self.donors: dict[str, VehicleSeries] = {}
+        #: The donor set; a new object whenever it changes, so it keys
+        #: the Model_Uni row by identity.
         self.donor_ids: frozenset[str] = frozenset()
-        #: Model-table scope of the full pool's Model_Uni.
-        self.uni_scope = _uni_scope(self.donor_ids)
         #: Bumped whenever a vehicle joins or leaves OLD or an OLD
-        #: vehicle gets a day: a donor search answer from an older
-        #: epoch may be stale.
+        #: vehicle is drained (it got a day, or a lifecycle event): a
+        #: donor search answer from an older epoch may be stale.
         self.epoch = 0
 
     def register(self, vehicle_id: str) -> None:
         self.rank[vehicle_id] = len(self.rank)
         self.touched[vehicle_id] = None
 
-    def drain(self, service: "MaintenancePredictionService") -> None:
-        """Re-categorize the touched vehicles (no monotonicity assumed)."""
+    def drain(self, service: "MaintenancePredictionService") -> dict:
+        """Re-categorize the touched vehicles (no monotonicity assumed)
+        and return them."""
         touched, self.touched = self.touched, {}
-        old, donors = self.old, self.donors
-        old_moved = donors_moved = False
+        cold, donors, donors_moved = self.cold, self.donors, False
         for vid in touched:
+            was_old = self.category.get(vid) is VehicleCategory.OLD
             category = self.category[vid] = categorize_usage(
                 np.asarray(service._vehicles[vid].usage), service.t_v
             )
             if category is VehicleCategory.OLD:
-                series = service.series(vid)
-                old_moved |= vid not in old
-                old[vid] = series
-                if series.first_cycle().completed:
-                    donors_moved |= vid not in donors
-                    donors[vid] = series
-                else:
-                    donors_moved |= donors.pop(vid, None) is not None
-            elif vid in old:
-                del old[vid]
-                old_moved = True
-                donors_moved |= donors.pop(vid, None) is not None
+                cold.pop(vid, None)
+                if vid not in donors:
+                    series = service.series(vid)
+                    if series.first_cycle().completed:
+                        donors[vid] = series
+                        donors_moved = True
             else:
-                continue
+                cold[vid] = None
+                if not was_old:
+                    continue
+                donors_moved |= donors.pop(vid, None) is not None
             self.epoch += 1
-        if old_moved:
-            self.old = dict(sorted(old.items()))
         if donors_moved:
             rank = self.rank.__getitem__
             self.donors = {vid: donors[vid] for vid in sorted(donors, key=rank)}
             self.donor_ids = frozenset(donors)
-            self.uni_scope = _uni_scope(self.donor_ids)
+        return touched
 
 
 class _Plan:
     """One vehicle's trip through :meth:`MaintenancePredictionService.
     predict_batch`: its feature row, the ladder rung it routed to and
-    that rung's row (a queued :class:`_Fit` until the batch trains it),
-    the fallback reasons collected on the way, and the prediction."""
+    that rung's row, the fallback reasons collected on the way, and the
+    prediction."""
 
     __slots__ = (
         "vehicle_id",
@@ -352,15 +330,15 @@ class MaintenancePredictionService:
     OLD vehicle's champion, stale once the vehicle completes a cycle
     its key has not seen), ``sim:<donor id>`` (the Model_Sim shared by
     every SEMI-NEW vehicle matched to that donor; it trains on the
-    donor's frozen first cycle, so it never goes stale) and
-    ``uni:<donor-set digest>`` (the Model_Uni of one donor set).
-    Only writers install rows: the lazy fits and store reloads that
-    routing asks for (:meth:`_ensure_vehicle_model`,
-    :meth:`_similarity_model`, :meth:`_ensure_unified_model`; the fits
-    are queued and grown together by :meth:`_train`),
-    :meth:`install_model`, :meth:`apply_lifecycle_event` and
-    :meth:`load_state_dict`.  :meth:`_forecast` reads the row its
-    vehicle was routed to, and lifecycle code reads a vehicle's row
+    donor's frozen first cycle, so it never goes stale) and ``uni``
+    (the Model_Uni, stale once the donor set its key holds changes).
+    Rows are trained where they go stale: at the end of every ingest
+    request, lifecycle event and restore, :meth:`_refresh_models`
+    trains (in one fused :meth:`_train` pass) or loads the rows the
+    fleet's first ladder rungs now need.  Besides it, only
+    :meth:`install_model` (lifecycle promotions and pins) installs
+    rows.  A read only looks rows up: :meth:`_forecast` reads the row
+    its vehicle was routed to, and lifecycle code reads a vehicle's row
     through :meth:`champion`.
 
     Parameters
@@ -457,14 +435,16 @@ class MaintenancePredictionService:
         # ``None`` keeps journaling off; the recovery manager wires one
         # in after replay completes.
         self.journal = None
-        self._journal_depth = 0  # > 0 suppresses journaling (replay)
+        # > 0 inside journal_suspended (replay): nothing is journaled
+        # and model training waits for the outermost block's end.
+        self._replay_depth = 0
         self._vehicles: dict[str, _VehicleState] = {}
         self._index = _FleetIndex()
         #: The model table: serving scope -> installed :class:`ModelEntry`.
         self._models: dict[str, ModelEntry] = {}
-        #: Rows the current read batch must train, by scope, in the
-        #: order routing asked for them.
-        self._queued: dict[str, _Fit] = {}
+        #: Scopes whose last train or load failed -> that error; a read
+        #: routed to one raises it (see :meth:`_row_failed`).
+        self._failed: dict[str, Exception] = {}
         #: Kernel lookup and batch-shape counters of the predict path.
         self.kernel_cache = CompiledModelCache()
         self._persist_lock = threading.Lock()
@@ -475,19 +455,22 @@ class MaintenancePredictionService:
 
     @contextmanager
     def journal_suspended(self):
-        """Suppress journaling inside the block (recovery replay)."""
-        self._journal_depth += 1
+        """Replay mode: nothing is journaled inside the block, and the
+        models the replayed requests make stale train once, when the
+        outermost block exits without an error."""
+        self._replay_depth += 1
         try:
             yield
         finally:
-            self._journal_depth -= 1
+            self._replay_depth -= 1
+        self._refresh_models()
 
     # -- ingestion -----------------------------------------------------------
 
     def register_vehicle(self, vehicle_id: str) -> None:
         # Journal-before-apply: replay re-executes the same call, so a
         # duplicate registration re-raises identically during recovery.
-        if self.journal is not None and self._journal_depth == 0:
+        if self.journal is not None and not self._replay_depth:
             self.journal.append("register", v=vehicle_id)
         if vehicle_id in self._vehicles:
             raise ValueError(f"Vehicle {vehicle_id!r} already registered.")
@@ -562,7 +545,9 @@ class MaintenancePredictionService:
         (``KeyError`` for an unregistered vehicle, ``ValueError`` for a
         dirty reading without a guard) stops the batch.  Returns
         ``(applied, error)``: the prefix stays applied and the error is
-        returned, not raised.
+        returned, not raised.  The models the request made stale train
+        before it returns (:meth:`_refresh_models`); a failed fit never
+        fails it.
         """
         if isinstance(seconds, np.ndarray):
             seconds = seconds.tolist()  # not one boxed np.float64 each
@@ -572,7 +557,7 @@ class MaintenancePredictionService:
                 f"{len(seconds)} readings for {len(ids)} vehicle ids."
             )
         journal = self.journal
-        if journal is not None and not self._journal_depth:
+        if journal is not None and not self._replay_depth:
             payload = {"u": np.asarray(seconds, dtype=np.float64)}
             if vehicle_ids is not None:
                 payload["vs"] = list(vehicle_ids)
@@ -583,7 +568,7 @@ class MaintenancePredictionService:
             journal.append("day", **payload)
             journal.sync()
         guard = self.guard
-        applied = 0
+        applied, error = 0, None
         with self._stage("ingest", readings=len(seconds)):
             try:
                 for vehicle_id, value, reading_day in zip(
@@ -607,8 +592,9 @@ class MaintenancePredictionService:
                             self._append(vehicle_id, state, value)
                     applied += 1
             except (KeyError, ValueError) as exc:
-                return applied, exc
-        return applied, None
+                error = exc
+        self._refresh_models()
+        return applied, error
 
     def first_rejected(self, seconds) -> int:
         """Index of the first reading an unguarded service would reject
@@ -685,22 +671,20 @@ class MaintenancePredictionService:
             _bundle=bundle,
         )
 
-    def _fleet_index(self) -> _FleetIndex:
-        """The routing index, after folding in the days appended since
-        the last read."""
-        index = self._index
-        if index.touched:
-            index.drain(self)
-        return index
-
     def category(self, vehicle_id: str) -> VehicleCategory:
         self._state(vehicle_id)
-        return self._fleet_index().category[vehicle_id]
+        # Undrained means registered with no day yet: NEW.
+        return self._index.category.get(vehicle_id, VehicleCategory.NEW)
 
     def old_vehicles(self) -> dict[str, VehicleSeries]:
         """OLD vehicles in sorted id order -> series as of their latest
-        day.  The one answer to "who is OLD"; treat it as read-only."""
-        return self._fleet_index().old
+        day.  The one answer to "who is OLD"."""
+        category = self._index.category
+        return {
+            vid: self.series(vid)
+            for vid in sorted(category)
+            if category[vid] is VehicleCategory.OLD
+        }
 
     # -- model management --------------------------------------------------------
 
@@ -738,10 +722,10 @@ class MaintenancePredictionService:
     def _vehicle_dataset(self, vehicle_id: str):
         """``(dataset, fit kwargs)`` of a per-vehicle model.
 
-        The one per-vehicle training set: every per-vehicle fit, queued
-        by a read or asked for by a lifecycle challenger, builds it
-        here.  Raises ``ValueError`` while the vehicle has no labeled
-        records.
+        The one per-vehicle training set: every per-vehicle fit, made
+        by the model refresh or asked for by a lifecycle challenger,
+        builds it here.  Raises ``ValueError`` while the vehicle has no
+        labeled records.
         """
         series = self.series(vehicle_id)
         dataset = build_relational_dataset(series.bundle, self.window)
@@ -759,199 +743,32 @@ class MaintenancePredictionService:
         predictor.fit(dataset, **kwargs)
         return predictor
 
-    def _request_fit(self, scope: str, key, data) -> _Fit:
-        """The row ``scope`` routing needs trained, queued once per
-        scope for the batch's training pass (:meth:`_train_queued`)."""
-        fit = self._queued.get(scope)
-        if fit is None:
-            fit = self._queued[scope] = _Fit(
-                scope, key, self._make_predictor(self.algorithm), data
-            )
-        return fit
+    def _sim_dataset(self, donor: VehicleSeries):
+        """``(dataset, fit kwargs)`` of ``donor``'s Model_Sim: its
+        frozen first cycle."""
+        return first_cycle_dataset(donor, self.window), {
+            "usage": donor.usage[: donor.first_cycle().end + 1]
+        }
 
-    def _train(self, fits: list[_Fit]) -> None:
-        """Fit and install ``fits``, setting ``entry`` or ``error`` on
-        each.
-
-        Training data is built in order; the predictors that can fuse
-        grow in one pass and the rest fit alone, in order
-        (:func:`~repro.core.predictors.fit_predictors`).  Rows install
-        (per-vehicle ones persisted) in ``fits`` order.  Without a
-        breaker the first failure raises there, after the rows before
-        it installed.
-        """
-        built = []
-        for fit in fits:
-            try:
-                built.append((fit, *fit.data()))
-            except Exception as exc:
-                fit.error = exc
-        with self._stage("train", models=len(built)):
-            errors = fit_predictors(
-                [fit.predictor for fit, _, _ in built],
-                [dataset for _, dataset, _ in built],
-                [kwargs for _, _, kwargs in built],
-            )
-        for (fit, _, _), error in zip(built, errors):
-            fit.error = error
-        for fit in fits:
-            if fit.error is None:
-                fit.entry = self._install_fit(fit)
-            elif self.breaker is None:
-                raise fit.error
-
-    def _install_fit(self, fit: _Fit) -> ModelEntry:
-        """Install a trained row; a per-vehicle champion is persisted."""
-        kind, _, name = fit.scope.partition(":")
-        predictor = fit.predictor
-        if kind == "per-vehicle":
-            return self.install_model(
-                name,
-                predictor,
-                trained_cycles=fit.key,
-                version=self._persist(
-                    f"{name}.per-vehicle",
-                    predictor,
-                    strategy="per-vehicle",
-                    trained_cycles=fit.key,
-                ),
-            )
-        if kind == "uni":
-            # Keep only the pools routing can still ask for: the full
-            # pool and the full pool less one OLD vehicle.
-            full = self._index.donor_ids
-            for old_scope, old in list(self._models.items()):
-                if old_scope.startswith("uni:") and not (
-                    old.key <= full and len(full) - len(old.key) <= 1
-                ):
-                    del self._models[old_scope]
-        self._models[fit.scope] = entry = ModelEntry(predictor, fit.key)
-        return entry
-
-    def _train_queued(self, plans: list[_Plan]) -> None:
-        """Train the rows routing queued for ``plans`` in one fused pass
-        per round.
-
-        A failed row is charged to the first plan that asked for it,
-        which re-routes one rung down; every other plan waiting on it
-        routes again from the same rung, which queues a fresh attempt.
-        So each failed fit is one breaker failure, as when every
-        vehicle trained its own row.  Rounds repeat until nothing is
-        queued.
-        """
-        while self._queued:
-            fits, self._queued = list(self._queued.values()), {}
-            waiting = [plan for plan in plans if isinstance(plan.entry, _Fit)]
-            self._train(fits)
-            charged = set()
-            for plan in waiting:
-                fit = plan.entry
-                if fit.error is None:
-                    plan.entry = fit.entry
-                    continue
-                with tracing.activate(plan.span):
-                    if fit in charged:
-                        self._route(plan, plan.rung)
-                        continue
-                    charged.add(fit)
-                    self._rung_failed(plan, fit.error)
-                    self._route(plan, plan.rung + 1)
-
-    def _ensure_vehicle_model(self, vehicle_id: str) -> ModelEntry | _Fit:
-        """The vehicle's ``per-vehicle`` row, retrained when a new cycle
-        has completed (a queued :class:`_Fit` until the batch trains
-        it, see :meth:`_request_fit`).
-
-        The one place that decides a per-vehicle model is stale: every
-        read that routes a vehicle to its own model asks here.  Besides
-        this retrain, only lifecycle events replace the model.  A
-        pinned vehicle (see :meth:`apply_lifecycle_event`) always
-        serves its pinned store version — no retraining, however stale.
-        With :attr:`retrain_on_cycle` off, an already-trained champion
-        keeps serving across cycle boundaries (lifecycle promotion is
-        then the only replacement path).
-        """
-        state = self._state(vehicle_id)
-        scope = f"per-vehicle:{vehicle_id}"
-        entry = self._models.get(scope, _NO_CHAMPION)
-        if state.pinned_version is not None:
-            if entry.predictor is not None and entry.version == state.pinned_version:
-                return entry
-            if self.store is None:
-                raise ValueError(
-                    f"Vehicle {vehicle_id!r} is pinned to version "
-                    f"{state.pinned_version} but the service has no store."
-                )
-            return self._install_artifact(
-                vehicle_id,
-                self.store.load(
-                    f"{vehicle_id}.per-vehicle", state.pinned_version
-                ),
-            )
-        n_cycles = len(self._cycle_state(vehicle_id).completed_cycles)
-        if entry.predictor is None and entry.version is not None:
-            # Checkpoint restore: the row carries a (possibly promoted)
-            # version number without its model.  Reload that exact
-            # artifact rather than retraining over the promotion; a
-            # pruned or corrupt one is forgotten and retrained below.
-            artifact = self._load_stored_model(vehicle_id, entry.version)
-            if artifact is None:
-                del self._models[scope]
-            else:
-                entry = self._install_artifact(vehicle_id, artifact)
-        if entry.predictor is not None and (
-            not self.retrain_on_cycle or entry.key == n_cycles
-        ):
-            return entry
-        return self._request_fit(
-            scope, n_cycles, partial(self._vehicle_dataset, vehicle_id)
+    def _uni_dataset(self, donors: list[VehicleSeries]):
+        """``(dataset, fit kwargs)`` of the Model_Uni of ``donors``:
+        their first cycles, concatenated in registration order."""
+        merged = RelationalDataset.concatenate(
+            [first_cycle_dataset(s, self.window) for s in donors]
         )
+        return merged, {}
 
-    def _ensure_unified_model(self, exclude: str | None = None):
-        """``(Model_Uni row, scope)`` over the old vehicles' first
-        cycles, leaving out ``exclude``; ``(None, None)`` without
-        donors.  Each distinct donor set fits once."""
-        index = self._fleet_index()
-        donor_ids, scope = index.donor_ids, index.uni_scope
-        if exclude in donor_ids:
-            donor_ids = donor_ids - {exclude}
-            scope = _uni_scope(donor_ids)
-        if not donor_ids:
-            return None, None
-        entry = self._models.get(scope)
-        if entry is not None and entry.key == donor_ids:
-            return entry, scope
-        donors = [s for vid, s in index.donors.items() if vid in donor_ids]
-
-        def data():
-            merged = RelationalDataset.concatenate(
-                [first_cycle_dataset(s, self.window) for s in donors]
-            )
-            return merged, {}
-
-        return self._request_fit(scope, donor_ids, data), scope
-
-    def _similarity_model(self, vehicle_id: str):
-        """``(Model_Sim row, donor id, scope)`` for one semi-new vehicle;
-        ``(None, None, None)`` without donors.
-
-        The donor search answer is remembered on the vehicle's state,
+    def _nearest_donor(self, vehicle_id: str, index: _FleetIndex):
+        """The Model_Sim donor of one SEMI-NEW vehicle (``None`` without
+        donors).  The answer is remembered on the vehicle's state,
         keyed on (its own length, donor epoch): it can only change when
-        the target or a donor gets a day.  The fitted model is one
-        ``sim:<donor id>`` row shared by every matching target (fits are
-        deterministic, and a shared object lets predict_batch stack
-        them into one kernel call).  It trains on the donor's first
-        cycle, frozen once completed: later cycles never refit it.
-        """
-        index = self._fleet_index()
-        state = self._state(vehicle_id)
+        the target or a donor gets a day, so reads reuse it."""
+        state = self._vehicles[vehicle_id]
         key = (len(state.usage), index.epoch)
-        if state.nearest is not None and state.nearest[0] == key:
-            donor_id = state.nearest[1]
-        else:
+        if state.nearest is None or state.nearest[0] != key:
             candidates = {
-                vid: s.usage
-                for vid, s in index.donors.items()
+                vid: np.asarray(self._vehicles[vid].usage)
+                for vid in index.donors
                 if vid != vehicle_id
             }
             donor_id = None
@@ -962,21 +779,153 @@ class MaintenancePredictionService:
                     measure=self.similarity_measure,
                 )
             state.nearest = (key, donor_id)
-        if donor_id is None:
-            return None, None, None
-        scope = f"sim:{donor_id}"
-        entry = self._models.get(scope)
-        if entry is None:
-            donor = index.donors[donor_id]
-            entry = self._request_fit(
-                scope,
-                donor_id,
-                lambda: (
-                    first_cycle_dataset(donor, self.window),
-                    {"usage": donor.usage[: donor.first_cycle().end + 1]},
-                ),
+        return state.nearest[1]
+
+    def _refresh_models(self) -> None:
+        """Train the rows the fleet's first ladder rungs now need: the
+        one place that decides a model is stale.
+
+        Runs at the end of every ingest request, lifecycle event and
+        restore (once per replay, see :meth:`journal_suspended`) over
+        the vehicles drained since, plus every SEMI-NEW and NEW one
+        when the donor epoch moved.  A readable OLD vehicle wants its
+        champion retrained once its key lags its completed cycles (a
+        pinned one loads its pinned version; :attr:`retrain_on_cycle`
+        off keeps an installed champion), a SEMI-NEW one its nearest
+        donor's ``sim`` row, a NEW one the ``uni`` row.  Fallback rungs
+        are not trained.  A failed row is retried when its asker's
+        breaker allows.
+        """
+        if self._replay_depth:
+            return
+        index, epoch = self._index, self._index.epoch
+        changed = index.drain(self)
+        if index.epoch != epoch:
+            changed.update(index.cold)
+        fits: dict[str, tuple] = {}
+        for vehicle_id in sorted(changed):
+            state = self._vehicles[vehicle_id]
+            if len(state.usage) <= self.window:
+                continue  # a read raises before routing
+            category = index.category[vehicle_id]
+            if category is VehicleCategory.OLD:
+                scope = f"per-vehicle:{vehicle_id}"
+                entry = self._models.get(scope, _NO_CHAMPION)
+                if state.pinned_version is not None:
+                    if entry.version != state.pinned_version and (
+                        self._may_retry(scope, vehicle_id)
+                    ):
+                        self._load_pinned(vehicle_id, state.pinned_version)
+                    continue
+                key = len(self._cycle_state(vehicle_id).completed_cycles)
+                if entry.predictor is not None and (
+                    entry.key == key or not self.retrain_on_cycle
+                ):
+                    continue
+                data = partial(self._vehicle_dataset, vehicle_id)
+            elif category is VehicleCategory.SEMI_NEW:
+                key = self._nearest_donor(vehicle_id, index)
+                scope = f"sim:{key}"
+                if key is None or scope in self._models:
+                    continue
+                data = partial(self._sim_dataset, index.donors[key])
+            else:
+                scope, key = "uni", index.donor_ids
+                if not key or self._models.get(scope, _NO_CHAMPION).key is key:
+                    continue
+                data = partial(self._uni_dataset, list(index.donors.values()))
+            if scope not in fits and self._may_retry(scope, vehicle_id):
+                fits[scope] = (key, data, vehicle_id)
+        if fits:
+            self._train(fits)
+
+    def _may_retry(self, scope: str, vehicle_id: str) -> bool:
+        """Whether ``vehicle_id`` may ask for ``scope`` now: always for a
+        row that has not failed, else when its breaker allows it."""
+        if scope not in self._failed or self.breaker is None:
+            return True
+        strategy = _SCOPE_STRATEGY[scope.partition(":")[0]]
+        return self.breaker.allow(f"{vehicle_id}:{strategy}")
+
+    def _train(self, fits: dict[str, tuple]) -> None:
+        """Fit and install ``fits`` (``scope -> (key, data, asker)``;
+        ``data()`` builds ``(dataset, fit kwargs)``) in order, the ones
+        that can fuse in one pass (:func:`~repro.core.predictors.
+        fit_predictors`).  A row that fails to build, fit or install
+        is recorded against its asker (:meth:`_row_failed`).
+        """
+        built, errors = [], {}
+        for scope, (_, data, _) in fits.items():
+            try:
+                predictor = self._make_predictor(self.algorithm)
+                built.append((scope, predictor, *data()))
+            except Exception as exc:
+                errors[scope] = exc
+        with self._stage("train", models=len(built)):
+            fit_errors = fit_predictors(
+                [predictor for _, predictor, _, _ in built],
+                [dataset for _, _, dataset, _ in built],
+                [kwargs for _, _, _, kwargs in built],
             )
-        return entry, donor_id, scope
+        for (scope, predictor, _, _), error in zip(built, fit_errors):
+            if error is None:
+                try:
+                    self._install_row(scope, fits[scope][0], predictor)
+                    continue
+                except Exception as exc:
+                    error = exc
+            errors[scope] = error
+        for scope, error in errors.items():
+            self._row_failed(scope, fits[scope][2], error)
+
+    def _install_row(self, scope: str, key, predictor) -> None:
+        """Install a trained row; a per-vehicle champion is persisted."""
+        kind, _, name = scope.partition(":")
+        if kind != "per-vehicle":
+            self._models[scope] = ModelEntry(predictor, key)
+            self._failed.pop(scope, None)
+            return
+        self.install_model(
+            name,
+            predictor,
+            trained_cycles=key,
+            version=self._persist(
+                f"{name}.per-vehicle",
+                predictor,
+                strategy="per-vehicle",
+                trained_cycles=key,
+            ),
+        )
+
+    def _row_failed(self, scope: str, vehicle_id: str, exc: Exception) -> None:
+        """Record a row that failed to train or load: reads routed to
+        it raise ``exc`` (or step down with it, under a breaker) until a
+        retry installs it.  Charged once, here, to its first asker."""
+        self._failed[scope] = exc
+        strategy = _SCOPE_STRATEGY[scope.partition(":")[0]]
+        if self.breaker is not None:
+            self.breaker.record_failure(f"{vehicle_id}:{strategy}")
+        tracing.add_event(
+            "rung-failed",
+            vehicle_id=vehicle_id,
+            strategy=strategy,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    def _load_pinned(self, vehicle_id: str, version: int) -> None:
+        """Install a pinned vehicle's store version as its champion."""
+        try:
+            if self.store is None:
+                raise ValueError(
+                    f"Vehicle {vehicle_id!r} is pinned to version "
+                    f"{version} but the service has no store."
+                )
+            self._install_artifact(
+                vehicle_id,
+                self.store.load(f"{vehicle_id}.per-vehicle", version),
+            )
+        except Exception as exc:
+            self._row_failed(f"per-vehicle:{vehicle_id}", vehicle_id, exc)
 
     def _baseline_model(self, vehicle_id: str):
         state = self._state(vehicle_id)
@@ -994,8 +943,9 @@ class MaintenancePredictionService:
 
     def champion(self, vehicle_id: str) -> ModelEntry:
         """The vehicle's installed ``per-vehicle`` row (``predictor``
-        ``None`` and ``key`` -1 before one is installed).  Only a lookup:
-        a read of the vehicle (:meth:`predict`) installs lazily."""
+        ``None`` and ``key`` -1 before one is installed).  Only a
+        lookup: the row is installed by the ingest, lifecycle event or
+        restore that made it stale."""
         self._state(vehicle_id)
         return self._models.get(f"per-vehicle:{vehicle_id}", _NO_CHAMPION)
 
@@ -1003,7 +953,8 @@ class MaintenancePredictionService:
         """Tolerant store load of a per-vehicle artifact for lifecycle
         installs and restored rows; ``None`` without a store or on any
         failure (journal replay must succeed even when an artifact was
-        pruned or the store moved — the vehicle then retrains lazily)."""
+        pruned or the store moved — the vehicle then retrains, or a
+        pinned one records the failure, at the end of the restore)."""
         if self.store is None:
             return None
         try:
@@ -1032,19 +983,21 @@ class MaintenancePredictionService:
     ) -> ModelEntry:
         """Atomically swap a vehicle's serving model; returns its row.
 
-        Every per-vehicle model — trained or retrained on predict,
+        Every per-vehicle model — trained or retrained at ingest,
         promoted, rolled back or reloaded — is installed here, as one
         immutable :class:`ModelEntry` assigned to its table row: a
         concurrent :meth:`predict` sees either the old champion or the
         fully-described new one, never a half-installed model (zero
-        serving interruption).
+        serving interruption).  It clears the row's recorded failure.
         """
         self._state(vehicle_id)
-        entry = self._models[f"per-vehicle:{vehicle_id}"] = ModelEntry(
+        scope = f"per-vehicle:{vehicle_id}"
+        entry = self._models[scope] = ModelEntry(
             predictor,
             int(trained_cycles),
             None if version is None else int(version),
         )
+        self._failed.pop(scope, None)
         return entry
 
     def apply_lifecycle_event(
@@ -1066,8 +1019,9 @@ class MaintenancePredictionService:
         and fsynced *before* it is applied, so a crash mid-install
         replays to the same state and an acknowledged decision is
         durable; replay passes no ``predictor`` and reloads the
-        artifact from the store (or leaves the model to lazy retrain
-        when the artifact is gone).  Returns the audit-log entry.
+        artifact from the store.  The vehicle's row is then refreshed as
+        after an ingest (:meth:`_refresh_models`).  Returns the audit-log
+        entry.
         """
         if action not in _LIFECYCLE_ACTIONS:
             raise ValueError(
@@ -1077,7 +1031,7 @@ class MaintenancePredictionService:
         state = self._state(vehicle_id)
         if action in ("rollback", "pin") and version is None:
             raise ValueError(f"Lifecycle {action} requires a version.")
-        if self.journal is not None and self._journal_depth == 0:
+        if self.journal is not None and not self._replay_depth:
             payload = {"a": action, "v": vehicle_id}
             if version is not None:
                 payload["ver"] = int(version)
@@ -1104,10 +1058,8 @@ class MaintenancePredictionService:
                     version=version,
                 )
             else:
-                # Artifact gone on replay: a promote drops to
-                # deterministic lazy retraining instead of serving a
-                # stale champion; a pin is resolved by the next read
-                # (which raises there if the artifact truly is gone).
+                # Artifact gone on replay: never serve the old champion
+                # in its place; the refresh below settles the row.
                 self._models.pop(f"per-vehicle:{vehicle_id}", None)
         event = {
             "action": action,
@@ -1125,6 +1077,8 @@ class MaintenancePredictionService:
             version=version,
             reason=reason,
         )
+        self._index.touched[vehicle_id] = None
+        self._refresh_models()
         return event
 
     # -- prediction -----------------------------------------------------------
@@ -1152,23 +1106,38 @@ class MaintenancePredictionService:
         return row, float(usage_left), today
 
     def _rung_model(self, strategy: str, vehicle_id: str):
-        """``(model-table row, donor_id, scope)`` for one ladder rung; a
-        ``None`` row means the rung has no donors yet, a :class:`_Fit`
-        that the batch still has to train it."""
+        """``(model-table row, donor_id, scope)`` of one ladder rung, a
+        lookup.  A ``None`` row means the rung has none installed: no
+        donors yet, or a fallback row that no ingest trains (an OLD
+        vehicle's Model_Sim and its Model_Uni without itself, or a
+        SEMI-NEW one's Model_Uni while no NEW vehicle needs it).  A row
+        whose last train or load failed raises that error."""
+        index = self._index
+        donor_id = None
         if strategy == "per-vehicle":
-            entry = self._ensure_vehicle_model(vehicle_id)
-            return entry, None, f"per-vehicle:{vehicle_id}"
-        if strategy == "similarity":
-            return self._similarity_model(vehicle_id)
-        entry, scope = self._ensure_unified_model(exclude=vehicle_id)
-        return entry, None, scope
-
-    def _count_fallback(self, vehicle_id: str, strategy: str) -> None:
-        self._fallback_counts.setdefault(vehicle_id, Counter())[strategy] += 1
+            scope = f"per-vehicle:{vehicle_id}"
+        elif strategy == "similarity":
+            state = self._vehicles[vehicle_id]
+            key = (len(state.usage), index.epoch)
+            if state.nearest is None or state.nearest[0] != key:
+                return None, None, None
+            donor_id = state.nearest[1]
+            scope = f"sim:{donor_id}"
+        elif vehicle_id in index.donor_ids:
+            return None, None, None
+        else:
+            scope = "uni"
+        error = self._failed.get(scope)
+        if error is not None:
+            raise error.with_traceback(None)
+        entry = self._models.get(scope)
+        if entry is not None and scope == "uni":
+            if entry.key is not index.donor_ids:  # an earlier donor set's
+                entry = None
+        return entry, donor_id, scope
 
     def _rung_failed(self, plan: _Plan, exc: Exception) -> None:
-        """Charge a failed train or predict to the plan's current rung."""
-        self.breaker.record_failure(f"{plan.vehicle_id}:{plan.strategy}")
+        """Record why the plan's current rung could not serve."""
         error = f"{type(exc).__name__}: {exc}"
         plan.reasons.append(f"{plan.strategy}: {error}")
         tracing.add_event(
@@ -1181,33 +1150,33 @@ class MaintenancePredictionService:
     def _route(self, plan: _Plan, rung: int) -> None:
         """Point ``plan`` at the first servable ladder rung from ``rung``.
 
-        A rung without donors steps down silently — that is normal
-        Section-4 routing, not degradation.  Without a breaker a failing
-        rung raises; with one, an open circuit or a failed train steps
-        down and is recorded in ``plan.reasons``.  Past the last rung
-        the vehicle gets the Eq. 5-6 baseline.
+        A rung without a row steps down silently — that is normal
+        Section-4 routing, not degradation.  Without a breaker a rung
+        whose row failed to train raises; with one, an open circuit or
+        such a failure (charged when the train failed) steps down and
+        is recorded in ``plan.reasons``.  Past the last rung the
+        vehicle gets the Eq. 5-6 baseline.
         """
         vehicle_id = plan.vehicle_id
         ladder = _STRATEGY_LADDER[plan.category]
         breaker = self.breaker
         for index in range(rung, len(ladder)):
             plan.strategy = strategy = ladder[index]
-            if breaker is None:
-                entry, donor_id, scope = self._rung_model(strategy, vehicle_id)
-            elif not breaker.allow(f"{vehicle_id}:{strategy}"):
+            if breaker is not None and not breaker.allow(
+                f"{vehicle_id}:{strategy}"
+            ):
                 plan.reasons.append(f"{strategy}: circuit open")
                 tracing.add_event(
                     "breaker-open", vehicle_id=vehicle_id, strategy=strategy
                 )
                 continue
-            else:
-                try:
-                    entry, donor_id, scope = self._rung_model(
-                        strategy, vehicle_id
-                    )
-                except Exception as exc:
-                    self._rung_failed(plan, exc)
-                    continue
+            try:
+                entry, donor_id, scope = self._rung_model(strategy, vehicle_id)
+            except Exception as exc:
+                if breaker is None:
+                    raise
+                self._rung_failed(plan, exc)
+                continue
             if entry is not None:
                 plan.rung = index
                 plan.entry, plan.donor_id, plan.scope = entry, donor_id, scope
@@ -1222,7 +1191,7 @@ class MaintenancePredictionService:
         cycles = self._cycle_state(vehicle_id)
         if cycles.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
-        category = self._fleet_index().category[vehicle_id]
+        category = self._index.category[vehicle_id]
         row, usage_left, today = self._feature_row(vehicle_id, cycles)
         plan = _Plan(vehicle_id, category, row, usage_left, today, span)
         if span is None:
@@ -1268,6 +1237,9 @@ class MaintenancePredictionService:
                     if breaker is None or members[0].strategy == "baseline":
                         raise
                     for plan in members:
+                        breaker.record_failure(
+                            f"{plan.vehicle_id}:{plan.strategy}"
+                        )
                         with tracing.activate(plan.span):
                             self._rung_failed(plan, exc)
                             self._route(plan, plan.rung + 1)
@@ -1291,7 +1263,8 @@ class MaintenancePredictionService:
             state.pending.append((plan.today, plan.prediction, strategy))
         reason = "; ".join(plan.reasons) or None
         if reason is not None:
-            self._count_fallback(vehicle_id, strategy)
+            counts = self._fallback_counts.setdefault(vehicle_id, Counter())
+            counts[strategy] += 1
             with tracing.activate(plan.span):
                 tracing.add_event(
                     "fallback",
@@ -1323,14 +1296,12 @@ class MaintenancePredictionService:
         The one prediction pipeline, in three steps:
 
         1. route every vehicle through the Section-4 matrix in input
-           order, the breaker ladder included; a row that must train
-           is queued once per scope, and the queue then trains in one
-           fused forest pass (:meth:`_train_queued`), installing rows
-           in the order consecutive single predictions would;
+           order, the breaker ladder included, by looking its rung's
+           row up in the model table — a read never trains a model or
+           reads the store; ingest installed every row it can serve;
         2. group the vehicles by the *model object* they routed to and
            make one kernel call per group; with a breaker, a failed
-           train or call re-routes its vehicles one rung down and
-           repeats;
+           call re-routes its vehicles one rung down and repeats;
         3. record pending forecasts and build the :class:`Forecast`
            objects in input order.
 
@@ -1347,20 +1318,14 @@ class MaintenancePredictionService:
         """
         ids = list(vehicle_ids)
         with self._stage("predict", vehicles=len(ids)):
-            try:
-                with self._stage("feature-build", vehicles=len(ids)):
-                    plans = [
-                        self._plan(
-                            vehicle_id, None if spans is None else spans[i]
-                        )
-                        for i, vehicle_id in enumerate(ids)
-                    ]
-                pending = plans
-                while pending:
-                    self._train_queued(pending)
-                    pending = self._run_kernels(pending)
-            finally:
-                self._queued = {}
+            with self._stage("feature-build", vehicles=len(ids)):
+                plans = [
+                    self._plan(vehicle_id, None if spans is None else spans[i])
+                    for i, vehicle_id in enumerate(ids)
+                ]
+            pending = plans
+            while pending:
+                pending = self._run_kernels(pending)
             return [self._forecast(plan) for plan in plans]
 
     # -- health ----------------------------------------------------------------
@@ -1459,9 +1424,10 @@ class MaintenancePredictionService:
         presence (guard/breaker/monitor) diverges — recovering counters
         into a differently-shaped service would silently mis-route.
         Vehicles are re-registered in the snapshot's ``order`` (sorted
-        id order when it has none).  The model table keeps only each
-        champion's store version, for the first read to reload; every
-        other model retrains lazily, and compiled kernels are dropped.
+        id order when it has none).  Each champion's recorded store
+        version is reloaded, then every row the fleet needs trains
+        (:meth:`_refresh_models`; inside :meth:`journal_suspended`, at
+        the end of the replay).
         """
         if not isinstance(state, dict) or state.get("schema") != 1:
             raise ValueError(
@@ -1498,6 +1464,7 @@ class MaintenancePredictionService:
             raise ValueError("Service state's order must list its vehicles.")
         self._vehicles = {}
         self._models = {}
+        self._failed = {}
         for vid in order:
             snap = vehicles[vid]
             self._vehicles[vid] = _VehicleState(
@@ -1517,11 +1484,14 @@ class MaintenancePredictionService:
                 ),
             )
             if snap.get("model_version") is not None:
-                # The version without its model: the first read
-                # reloads that artifact (_ensure_vehicle_model).
-                self._models[f"per-vehicle:{vid}"] = ModelEntry(
-                    None, -1, int(snap["model_version"])
+                # Reload that exact (possibly promoted) artifact rather
+                # than retrain over it; a pruned or corrupt one is
+                # forgotten and the refresh below retrains the vehicle.
+                artifact = self._load_stored_model(
+                    vid, int(snap["model_version"])
                 )
+                if artifact is not None:
+                    self._install_artifact(vid, artifact)
         self.lifecycle_log = [
             dict(event) for event in state.get("lifecycle_log", [])
         ]
@@ -1537,6 +1507,7 @@ class MaintenancePredictionService:
         if self.monitor is not None:
             self.monitor.load_state_dict(state["monitor"])
         self._index = _FleetIndex(self._vehicles)
+        self._refresh_models()
 
     # -- feedback loop -----------------------------------------------------------
 

@@ -197,6 +197,7 @@ def _shard_worker_main(conn, shard_index: int, factory, options: dict) -> None:
     service = engine.service
     bootstrap["window"] = service.window
     bootstrap["t_v"] = service.t_v
+    bootstrap["guarded"] = service.guard is not None
     bootstrap["n_days"] = {
         vehicle_id: service.n_days(vehicle_id)
         for vehicle_id in service.vehicle_ids
@@ -431,6 +432,7 @@ class ShardedFleetEngine:
         self.bootstraps = [worker.await_ready() for worker in self.workers]
         self.window = self.bootstraps[0].get("window")
         self.t_v = self.bootstraps[0].get("t_v")
+        self._guarded = [b.get("guarded") for b in self.bootstraps]
         self._n_days: dict[str, int] = {}
         for bootstrap in self.bootstraps:
             self._n_days.update(bootstrap.get("n_days", {}))
@@ -535,12 +537,21 @@ class ShardedFleetEngine:
     ) -> tuple[int, str | None]:
         """Scatter gateway-shaped records to their owning shards.
 
-        Records keep their relative order within a shard; the combined
-        error (if any) is the first failing shard's, by shard index.
+        As :meth:`FleetEngine.ingest_records`, ``ingested`` counts a
+        prefix: the request is cut after its first record that will
+        fail (an unknown vehicle without ``auto_register``, or a dirty
+        reading for an unguarded shard, per its ``ready`` bootstrap)
+        before it is scattered.
         """
         groups: dict[int, list] = {}
         for record in records:
-            groups.setdefault(self.shard_for(record[0]), []).append(record)
+            vehicle_id, seconds = record[0], record[1]
+            shard = self.shard_for(vehicle_id)
+            groups.setdefault(shard, []).append(record)
+            if (not auto_register and vehicle_id not in self._n_days) or (
+                not self._guarded[shard] and not 0 <= seconds <= 86_400
+            ):
+                break
         ingested = 0
         error = None
         for _shard, (count, shard_error, n_days) in self._scatter_groups(

@@ -121,22 +121,20 @@ class TestGatewayAcksAreDurable:
             return [shards[str(i)]["journal"] for i in range(2)]
 
         def expected_records(readings, known) -> dict[int, int]:
-            """Per shard: one record plus the registrations its group
-            reaches (up to and including its first dirty reading)."""
-            groups: dict[int, list] = {}
-            for r in readings:
+            """Per shard: one record plus the registrations it makes,
+            for the readings a single engine reaches (up to and
+            including the first dirty one)."""
+            dirty = [
+                i for i, r in enumerate(readings)
+                if not 0 <= r["seconds"] <= 86_400
+            ]
+            added: dict[int, int] = {}
+            for r in readings[: dirty[0] + 1] if dirty else readings:
                 shard = pool.shard_for(r["vehicle_id"])
-                groups.setdefault(shard, []).append(r)
-            added = {}
-            for shard, group in groups.items():
-                dirty = [
-                    i for i, r in enumerate(group)
-                    if not 0 <= r["seconds"] <= 86_400
-                ]
-                reached = group[: dirty[0] + 1] if dirty else group
-                new = {r["vehicle_id"] for r in reached} - known
-                known |= new
-                added[shard] = 1 + len(new)
+                added[shard] = added.get(shard, 1)
+                if r["vehicle_id"] not in known:
+                    known.add(r["vehicle_id"])
+                    added[shard] += 1
             return added
 
         async def scenario():
@@ -144,11 +142,15 @@ class TestGatewayAcksAreDurable:
             await gateway.start()
             known = set(IDS)
             try:
-                for readings, status in zip(POSTS, STATUSES):
+                for readings, status, ingested, registered in zip(
+                    POSTS, STATUSES, INGESTED, REGISTERED
+                ):
                     before = journals()
                     response = await _post(gateway, readings)
                     assert response.status == status, response.payload
+                    assert response.payload["ingested"] == ingested
                     expected = expected_records(readings, known)
+                    assert sum(expected.values()) == len(expected) + registered
                     for shard, (old, new) in enumerate(
                         zip(before, journals())
                     ):
@@ -161,6 +163,10 @@ class TestGatewayAcksAreDurable:
         try:
             pool.register_fleet(IDS)
             asyncio.run(scenario())
+            # new-d sits past the failure: no shard registers it.
+            assert not pool.has_vehicle("new-d")
+            for health in pool.scatter("health"):
+                assert "new-d" not in health.vehicles
         finally:
             pool.close()
 

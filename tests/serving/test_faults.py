@@ -285,7 +285,7 @@ class TestTrainingFailureChaos:
     def test_failed_retrains_keep_stale_champions_of_failing_vehicles(
         self, tmp_path, monkeypatch
     ):
-        """Retrain faults hitting some vehicles of one ``predict_all``:
+        """Retrain faults hitting some vehicles of one ingest request:
         those keep their stale champion, persist nothing and record one
         ``per-vehicle`` breaker failure each; the rest retrain and
         install in sorted vehicle order."""
@@ -297,8 +297,6 @@ class TestTrainingFailureChaos:
             engine.ingest_history(vehicle_id, [18_000.0 + 1_000.0 * i] * 40)
         assert all(f.model_version == 1 for f in engine.predict_all())
         champions = {v: service.champion(v).predictor for v in ids}
-        for _ in range(15):  # one more completed cycle: every model stale
-            engine.ingest_day({v: 20_000.0 for v in ids})
 
         failing = {"v1", "v2"}
         build = service._vehicle_dataset
@@ -317,6 +315,9 @@ class TestTrainingFailureChaos:
 
         monkeypatch.setattr(service, "_vehicle_dataset", faulty_build)
         monkeypatch.setattr(service, "install_model", recording_install)
+        # 15 more days in one request: one more completed cycle, so
+        # every model goes stale and retrains at the end of it.
+        service.ingest_batch(ids * 15, [20_000.0] * (4 * 15))
         forecasts = {f.vehicle_id: f for f in engine.predict_all()}
         assert installed == sorted(set(ids) - failing)
         for vehicle_id in ids:
@@ -344,11 +345,14 @@ class TestTrainingFailureChaos:
             predictor_factory=faulty_predictor_factory(injector),
         )
         service.register_vehicle("v")
-        service.ingest_series("v", [20_000.0] * 25)
-        service.predict("v")  # failure 1
-        service.predict("v")  # failure 2 -> opens
+        service.ingest_series("v", [20_000.0] * 25)  # failure 1
+        forecast = service.predict("v")
+        assert forecast.degraded
+        assert "per-vehicle: InjectedFault" in forecast.fallback_reason
+        service.ingest("v", 20_000.0)  # retried: failure 2 -> opens
         attempts_before = injector.calls["train"]
-        forecast = service.predict("v")  # skipped: circuit open
+        service.ingest("v", 20_000.0)  # skipped: circuit open
+        forecast = service.predict("v")
         assert injector.calls["train"] == attempts_before
         assert forecast.degraded and "circuit open" in forecast.fallback_reason
 
@@ -359,22 +363,23 @@ class TestTrainingFailureChaos:
             predictor_factory=faulty_predictor_factory(injector),
         )
         service.register_vehicle("v")
-        service.ingest_series("v", [20_000.0] * 25)
-        assert service.predict("v").degraded  # fails, opens
+        service.ingest_series("v", [20_000.0] * 25)  # fails, opens
+        assert service.predict("v").degraded  # consumes the cooldown skip
         injector.rates["train"] = 0.0  # outage ends
-        service.predict("v")  # consumes the cooldown skip
-        recovered = service.predict("v")  # half-open trial succeeds
+        service.ingest("v", 20_000.0)  # half-open retry succeeds
+        recovered = service.predict("v")
         assert not recovered.degraded
         assert recovered.strategy == "per-vehicle"
 
 
 class TestReadPathRetrainBreaker:
-    """A stale champion is retrained by the read that routes to it.
+    """A stale champion is retrained by the ingest that completes its
+    cycle, never by the reads that route to it.
 
-    A sick training path must not be hammered on every read: after the
-    breaker opens for a vehicle's ``per-vehicle`` key, reads step down
-    the ladder without attempting the train, and the half-open trial
-    that the cooldown leads to retrains and recovers.
+    A sick training path must not be hammered on every ingest: after
+    the breaker opens for a vehicle's ``per-vehicle`` key, its ingests
+    skip the retrain and its reads step down the ladder, and the
+    half-open trial that the cooldown leads to retrains and recovers.
     """
 
     KEY = "v1:per-vehicle"
@@ -397,20 +402,24 @@ class TestReadPathRetrainBreaker:
         )
         engine = FleetEngine(service)
         service.register_vehicle("v1")
-        service.ingest_series("v1", np.full(40, 20_000.0))  # ~4 cycles: OLD
-        (forecast,) = engine.predict_all()  # trains and persists v1
+        # ~4 cycles: OLD; the ingest trains and persists v1.
+        service.ingest_series("v1", np.full(40, 20_000.0))
+        (forecast,) = engine.predict_all()
         assert forecast.strategy == "per-vehicle" and not forecast.degraded
-        # One more completed cycle: the champion goes stale.
-        for day in range(40, 52):
-            service.ingest("v1", 20_000.0, day=day)
         return engine, service, injector
 
+    @staticmethod
+    def complete_cycle(service):
+        """One more completed cycle in one request: the champion goes
+        stale and that request retrains it."""
+        service.ingest_series("v1", np.full(12, 20_000.0), start_day=40)
+
     def trip_breaker(self, engine, service, injector):
-        """Open the breaker through two genuinely failed retrains."""
+        """Open the breaker through two genuinely failed retrains: the
+        cycle's own and the retry at the vehicle's next ingest."""
         injector.rates["train"] = 1.0
-        for _ in range(2):
-            (forecast,) = engine.predict_all()
-            assert forecast.degraded
+        self.complete_cycle(service)
+        service.ingest("v1", 20_000.0, day=52)
         injector.rates["train"] = 0.0
         assert service.breaker.is_open(self.KEY)
 
@@ -418,6 +427,7 @@ class TestReadPathRetrainBreaker:
         engine, service, injector = self.build_stack(tmp_path)
         champion = service.champion("v1").predictor
         injector.rates["train"] = 1.0
+        self.complete_cycle(service)
         (forecast,) = engine.predict_all()
         assert forecast.degraded and forecast.strategy == "baseline"
         assert service.breaker.failure_count(self.KEY) == 1
@@ -430,6 +440,7 @@ class TestReadPathRetrainBreaker:
     def test_without_breaker_first_failure_raises(self, tmp_path):
         engine, service, injector = self.build_stack(tmp_path, breaker=False)
         injector.rates["train"] = 1.0
+        self.complete_cycle(service)  # the readings are durable: no raise
         with pytest.raises(InjectedFault):
             engine.predict_all()
         assert service.store.versions("v1.per-vehicle") == [1]
@@ -439,7 +450,8 @@ class TestReadPathRetrainBreaker:
         self.trip_breaker(engine, service, injector)
         calls_before = injector.calls["train"]
         # Training would succeed now, but the open circuit means the
-        # read must not even try.
+        # ingest must not even try, and the read never trains.
+        service.ingest("v1", 20_000.0, day=53)
         (forecast,) = engine.predict_all()
         assert injector.calls["train"] == calls_before
         assert forecast.degraded
@@ -456,14 +468,15 @@ class TestReadPathRetrainBreaker:
         assert forecast.strategy != "per-vehicle"
         assert "circuit open" in forecast.fallback_reason
 
-    def test_half_open_read_retrains_to_v2(self, tmp_path):
+    def test_half_open_ingest_retrains_to_v2(self, tmp_path):
         engine, service, injector = self.build_stack(tmp_path)
         self.trip_breaker(engine, service, injector)
         # Each read consumes one skip; after `cooldown` degraded reads
-        # the circuit half-opens and the next read retrains.
+        # the circuit half-opens and the next ingest retrains.
         for _ in range(3):
             assert service.predict("v1").degraded
         assert not service.breaker.is_open(self.KEY)
+        service.ingest("v1", 20_000.0, day=53)
         (forecast,) = engine.predict_all()
         assert not forecast.degraded
         assert forecast.strategy == "per-vehicle"
@@ -476,9 +489,13 @@ class TestReadPathRetrainBreaker:
         self.trip_breaker(engine, service, injector)
         for _ in range(3):
             service.predict("v1")
+        service.ingest("v1", 20_000.0, day=53)
         recovered = engine.predict_all()
 
         clean_engine, clean_service, _ = self.build_stack(tmp_path / "clean")
+        self.complete_cycle(clean_service)
+        for day in (52, 53):
+            clean_service.ingest("v1", 20_000.0, day=day)
         assert clean_engine.predict_all() == recovered
 
         probe = np.array([[100_000.0]])

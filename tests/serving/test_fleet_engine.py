@@ -63,12 +63,15 @@ def serial_forecasts(service):
     ]
 
 
-def build_engine(usage_map, **kwargs) -> FleetEngine:
-    engine = FleetEngine(t_v=T_V, **kwargs)
+def feed(engine, usage_map) -> FleetEngine:
     engine.register_fleet(usage_map)
     for vehicle_id in sorted(usage_map):
         engine.ingest_history(vehicle_id, usage_map[vehicle_id])
     return engine
+
+
+def build_engine(usage_map, **kwargs) -> FleetEngine:
+    return feed(FleetEngine(t_v=T_V, **kwargs), usage_map)
 
 
 class TestSerialEquivalence:
@@ -96,16 +99,17 @@ class TestSerialEquivalence:
             assert engine.predict_all() == reference
 
     def test_cold_predict_all_starts_no_threads(self):
-        """Training runs on the calling thread: a cold ``predict_all``
-        that fits every OLD vehicle's model leaves the process's thread
-        count where it was."""
+        """Training runs on the calling thread: the ingest that fits
+        every OLD vehicle's model, and the cold ``predict_all`` after
+        it, leave the process's thread count where it was."""
         rng = np.random.default_rng(4)
         usage_map = {
             f"old{i}": rng.uniform(14_000, 26_000, size=40) for i in range(4)
         }
-        engine = build_engine(usage_map, window=0, algorithm="RF")
+        engine = FleetEngine(t_v=T_V, window=0, algorithm="RF")
         fits = count_fits(engine.service)
         before = threading.active_count()
+        feed(engine, usage_map)
         forecasts = engine.predict_all()
         assert threading.active_count() == before
         assert {f.category for f in forecasts} == {VehicleCategory.OLD}
@@ -207,13 +211,14 @@ class TestEngineBehavior:
 
     def test_warm_predict_all_fits_nothing(self):
         usage_map = random_fleet(7)
-        engine = build_engine(usage_map, window=0, algorithm="LR")
+        engine = FleetEngine(t_v=T_V, window=0, algorithm="LR")
         fits = count_fits(engine.service)
-        engine.predict_all()
+        feed(engine, usage_map)  # each OLD vehicle trains at its ingest
         assert fits == sorted(v for v in usage_map if v.startswith("old"))
         fits.clear()
         engine.predict_all()
-        assert fits == []  # all warm now
+        engine.predict_all()
+        assert fits == []  # reads never train
 
     def test_predict_many_subset(self):
         usage_map = random_fleet(8)

@@ -1,12 +1,14 @@
-"""Deferred training: every forest a read batch must train grows in one
-fused pass, and the batch serves exactly what serial reads serve.
+"""Fused training at ingest: every forest an ingest request makes stale
+grows in one fused pass, and the result serves exactly what serial
+per-vehicle ingests serve.
 
-Routing queues each row to train once per scope (``per-vehicle:<vid>``,
-``sim:<donor>``, ``uni:<donor set>``); ``predict_batch`` then fits the
-queue in one level-wise pass and installs the rows in queue order.  A
-row whose fit fails is charged to the first vehicle that routed to it,
-which re-routes one rung down; the others ask for the row again, so
-each failed fit is one breaker failure.
+The end of each ingest request wants one row per scope
+(``per-vehicle:<vid>``, ``sim:<donor>``, ``uni``), fits
+them in one level-wise pass and installs them in order.  A failed fit
+is deferred to the read: the ingest succeeds (its readings are durable)
+and the failure is charged once, to the first vehicle that asked for
+the row; reads routed to the row step down with its reason, and the
+next ingest that asks for it retries.
 """
 
 import pickle
@@ -14,6 +16,7 @@ import pickle
 import pytest
 
 from repro.learn import forest as forest_module
+from repro.serving import service as service_module
 from repro.serving.engine import FleetEngine
 from repro.serving.faults import InjectedFault
 from repro.serving.persistence import ModelStore
@@ -21,6 +24,7 @@ from repro.serving.reliability import CircuitBreaker
 from repro.serving.service import MaintenancePredictionService
 
 T_V = 200_000.0
+OLD = [f"old{i}" for i in range(6)]
 
 
 def fleet() -> dict[str, list[float]]:
@@ -38,6 +42,7 @@ def fleet() -> dict[str, list[float]]:
 def make_service(
     usage, algorithm="RF", **kwargs
 ) -> MaintenancePredictionService:
+    """A service fed one ingest request per vehicle, in id order."""
     service = MaintenancePredictionService(
         t_v=T_V, window=2, algorithm=algorithm, **kwargs
     )
@@ -45,6 +50,17 @@ def make_service(
         service.register_vehicle(vid)
         service.ingest_series(vid, usage[vid])
     return service
+
+
+def ingest_at_once(service, usage) -> None:
+    """Register ``usage``'s vehicles and ingest it as one request."""
+    ids = sorted(usage)
+    for vid in ids:
+        service.register_vehicle(vid)
+    service.ingest_batch(
+        [vid for vid in ids for _ in usage[vid]],
+        [value for vid in ids for value in usage[vid]],
+    )
 
 
 @pytest.fixture
@@ -76,22 +92,26 @@ class TestOneGrowPass:
         serial_passes = len(grow_passes)
         grow_passes.clear()
 
-        batched = make_service(usage)
-        got = batched.predict_batch(batched.vehicle_ids)
+        batched = MaintenancePredictionService(t_v=T_V, window=2)
+        ingest_at_once(batched, usage)
         # Six per-vehicle forests and the targets' shared Model_Sim.
         assert len(grow_passes) == 1
         assert serial_passes == len(batched._models) == 7
-        assert got == expected
+        assert batched.predict_batch(batched.vehicle_ids) == expected
+        assert len(grow_passes) == 1
         assert models(batched) == models(serial)
 
     def test_cold_xgb_batch_equals_serial_reads(self, grow_passes):
-        """Boosted rows cannot fuse: the batch fits them one at a time,
-        in the order routing queued them, and serves what serial reads
-        serve."""
+        """Boosted rows cannot fuse: the request fits them one at a
+        time, in the order it wanted them, and serves what serial
+        ingests serve."""
         usage = fleet()
         serial = make_service(usage, algorithm="XGB")
         expected = [serial.predict(vid) for vid in serial.vehicle_ids]
-        batched = make_service(usage, algorithm="XGB")
+        batched = MaintenancePredictionService(
+            t_v=T_V, window=2, algorithm="XGB"
+        )
+        ingest_at_once(batched, usage)
         assert batched.predict_batch(batched.vehicle_ids) == expected
         assert len(batched._models) == 7
         assert models(batched) == models(serial)
@@ -106,9 +126,13 @@ class TestOneGrowPass:
 
     def test_duplicate_ids_share_one_fit(self, grow_passes):
         service = make_service(fleet())
+        grow_passes.clear()
+        # Two readings of one vehicle that close its third cycle.
+        service.ingest_batch(["old0", "old0"], [86_400.0, 86_400.0])
+        assert grow_passes == [60]  # one 60-tree forest
         a, b = service.predict_batch(["old0", "old0"])
         assert a == b
-        assert grow_passes == [60]  # one 60-tree forest
+        assert grow_passes == [60]
 
 
 class TestDeferredFailures:
@@ -120,8 +144,6 @@ class TestDeferredFailures:
         )
         engine = FleetEngine(service)
         assert all(f.model_version == 1 for f in engine.predict_all())
-        for _ in range(15):  # one more completed cycle: every model stale
-            engine.ingest_day({v: 20_000.0 for v in service.vehicle_ids})
         return engine, service
 
     def test_failure_is_charged_to_its_vehicle_only(
@@ -139,6 +161,9 @@ class TestDeferredFailures:
             return build(vehicle_id)
 
         monkeypatch.setattr(service, "_vehicle_dataset", faulty_build)
+        # One more completed cycle in one request: every model stale.
+        applied, error = service.ingest_batch(ids * 15, [20_000.0] * 60)
+        assert (applied, error) == (60, None)
         forecasts = {f.vehicle_id: f for f in engine.predict_all()}
         for vehicle_id in ids:
             failed = vehicle_id in failing
@@ -155,10 +180,11 @@ class TestDeferredFailures:
             assert forecast.degraded == failed
             if failed:
                 assert "per-vehicle: InjectedFault" in forecast.fallback_reason
-                assert forecast.strategy == "similarity"
+                # An OLD vehicle's fallback rungs are not trained ahead.
+                assert forecast.strategy == "baseline"
 
     def test_without_a_breaker_the_first_failure_raises(self, monkeypatch):
-        service = make_service(fleet())
+        service = MaintenancePredictionService(t_v=T_V, window=2)
         build = service._vehicle_dataset
 
         def faulty_build(vehicle_id):
@@ -167,48 +193,61 @@ class TestDeferredFailures:
             return build(vehicle_id)
 
         monkeypatch.setattr(service, "_vehicle_dataset", faulty_build)
+        usage = fleet()
+        ingest_at_once(service, usage)  # the readings apply: no raise
+        assert all(service.n_days(v) == len(usage[v]) for v in usage)
         with pytest.raises(InjectedFault):
             service.predict_batch(["old0", "old1", "old2", "old3"])
-        # Rows queued before the failure installed; nothing stays queued.
-        assert service.champion("old1").predictor is not None
-        assert service.champion("old3").predictor is None
-        assert service._queued == {}
+        # Every other row trained at the ingest.
+        assert service.champion("old3").predictor is not None
+        assert service.champion("old2").predictor is None
         monkeypatch.undo()
-        assert service.predict("old3").strategy == "per-vehicle"
+        service.ingest("old2", 20_000.0)  # the next ingest retries
+        assert service.predict("old2").strategy == "per-vehicle"
 
-    def test_shared_row_failure_is_charged_to_every_target(self, monkeypatch):
-        # Both targets route to one Model_Sim row, then to one Model_Uni.
-        from repro.serving import service as service_module
-
-        service = make_service(fleet(), breaker=CircuitBreaker())
-        service.predict_batch([f"old{i}" for i in range(6)])
+    def test_shared_row_failure_is_charged_once(self, monkeypatch):
+        # Both targets route to one Model_Sim row, then to the Model_Uni
+        # that the NEW vehicle needs.
+        usage = fleet()
+        service = make_service(
+            {vid: usage[vid] for vid in OLD}, breaker=CircuitBreaker()
+        )
 
         def no_first_cycle(*_args):
             raise InjectedFault("first cycle")
 
         # Model_Sim and Model_Uni both train on donors' first cycles.
         monkeypatch.setattr(service_module, "first_cycle_dataset", no_first_cycle)
-        forecasts = service.predict_batch(["semi0", "semi1"])
-        for forecast in forecasts:
+        ingest_at_once(
+            service,
+            {
+                "new0": [5_000.0] * 4,
+                "semi0": usage["semi0"],
+                "semi1": usage["semi1"],
+            },
+        )
+        breaker = service.breaker
+        assert breaker.failure_count() == 2  # two failed fits
+        assert breaker.failure_count("semi0:similarity") == 1
+        assert breaker.failure_count("new0:unified") == 1
+        for forecast in service.predict_batch(["semi0", "semi1"]):
             assert forecast.strategy == "baseline"
             assert forecast.fallback_reason.count("InjectedFault") == 2
-            for rung in ("similarity", "unified"):
-                assert service.breaker.failure_count(
-                    f"{forecast.vehicle_id}:{rung}"
-                ) == 1
+        assert breaker.failure_count() == 2  # reads charge nothing
         assert not any(
-            scope.startswith(("sim:", "uni:")) for scope in service._models
+            scope.partition(":")[0] in ("sim", "uni")
+            for scope in service._models
         )
 
     def test_shared_row_failure_is_retried_for_the_next_target(
         self, monkeypatch
     ):
-        # One injected fault: the first target is charged and steps
-        # down, the second asks again and is served by the retrained row.
-        from repro.serving import service as service_module
-
-        service = make_service(fleet(), breaker=CircuitBreaker())
-        service.predict_batch([f"old{i}" for i in range(6)])
+        # One injected fault: the request that needs the row is charged
+        # once and its targets step down; the next target's ingest
+        # retries the row, which then serves both.
+        service = make_service(
+            {vid: fleet()[vid] for vid in OLD}, breaker=CircuitBreaker()
+        )
         first_cycle = service_module.first_cycle_dataset
         faults = []
 
@@ -219,9 +258,14 @@ class TestDeferredFailures:
             return first_cycle(*args)
 
         monkeypatch.setattr(service_module, "first_cycle_dataset", fails_once)
+        ingest_at_once(
+            service, {vid: fleet()[vid] for vid in ("semi0", "semi1")}
+        )
         semi0, semi1 = service.predict_batch(["semi0", "semi1"])
-        assert (semi0.strategy, semi0.degraded) == ("unified", True)
+        assert (semi0.strategy, semi0.degraded) == ("baseline", True)
+        assert (semi1.strategy, semi1.degraded) == ("baseline", True)
+        service.ingest("semi1", 19_500.0)
+        semi0, semi1 = service.predict_batch(["semi0", "semi1"])
+        assert (semi0.strategy, semi0.degraded) == ("similarity", False)
         assert (semi1.strategy, semi1.degraded) == ("similarity", False)
         assert service.breaker.failure_count() == len(faults) == 1
-        monkeypatch.undo()
-        assert service.predict("semi0").strategy == "similarity"

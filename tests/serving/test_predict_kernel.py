@@ -175,6 +175,9 @@ class TestResilientBatching:
             "semi0": rng.uniform(17_000, 25_000, size=7),
             "semi1": rng.uniform(17_000, 25_000, size=6),
             "semi2": rng.uniform(17_000, 25_000, size=8),
+            # A NEW vehicle: the full pool's Model_Uni is installed, so
+            # the SEMI-NEW fallback rung has a row.
+            "new0": np.full(4, 5_000.0),
         }
         service = build_serial(
             usage_map, window=0, algorithm="RF", breaker=CircuitBreaker()
@@ -332,13 +335,14 @@ class TestLifecycleInvalidation:
         )
         restored.predict_batch  # the batched entry point must survive restore
         restored.load_state_dict(snapshot)
-        # The restored row carries a version and no model: nothing to
-        # serve a kernel from until the first read reloads it.
-        assert restored.champion("v0").predictor is None
+        # The restore reloads the stored version itself: a new model
+        # object, whose kernel the first read compiles afresh.
+        reloaded = restored.champion("v0").predictor
+        assert reloaded is not None
+        assert reloaded is not service.champion("v0").predictor
+        assert restored.champion("v0").version == expected.model_version
         first = restored.predict_batch(["v0"])[0]
         assert first == expected
-        reloaded = restored.champion("v0").predictor
-        assert reloaded is not service.champion("v0").predictor
         assert restored.kernel_cache.get(
             "per-vehicle:v0", reloaded, expected.model_version
         ) is compile_model(reloaded)

@@ -4,9 +4,9 @@ A read with no ingest since the previous one re-categorizes nobody,
 searches no donors and snapshots no series (feature rows and the
 staleness key come from the cycle state, bit for bit what a series
 gives); one appended day costs one re-categorization; an engine read
-visits only the vehicles of its batch and trains none outside it; and
-Model_Uni fits once per distinct donor set, also when the breaker
-ladder asks for the pool without one of its own donors.
+visits only the vehicles of its batch and trains nothing; and Model_Uni
+fits once per donor set, however often the breaker ladder of an OLD
+donor steps down to it.
 """
 
 import numpy as np
@@ -148,8 +148,9 @@ class TestNoFleetScanOnRead:
         for _ in range(10):  # 200 000 s more: old1 completes a cycle
             service.ingest("old1", 20_000.0)
         assert len(service.series("old1").completed_cycles) == cycles + 1
-        engine.predict_many(["old0"])
-        assert fits == []
+        assert fits == ["old1"]  # retrained by the ingest that closed it
+        engine.predict_many(["old0", "old1"])
+        assert fits == ["old1"]
 
 
 class TestUnifiedModelFitsOncePerDonorSet:
@@ -189,12 +190,12 @@ class TestUnifiedModelFitsOncePerDonorSet:
         for _ in range(5):
             a, n = service.predict_batch(["A", "N"])
             strategies.append((a.strategy, n.strategy))
-        # Four cooldown batches serve A from the pool without A, N from
-        # the full pool; the fifth half-opens A's own model.
-        assert strategies[:4] == [("unified", "unified")] * 4
+        # Four cooldown batches step A down to the baseline (no ingest
+        # trains an OLD vehicle's fallbacks) and serve N from the full
+        # pool; the fifth half-opens A's own model.
+        assert strategies[:4] == [("baseline", "unified")] * 4
         assert strategies[4][0] == "per-vehicle"
-        assert len(set(fits)) == 2
-        assert len(fits) == 2
+        assert len(fits) == 1
 
 
 class TestFeatureRowFromCycleState:

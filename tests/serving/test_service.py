@@ -359,12 +359,14 @@ class TestSimilarityModelCache:
         service.ingest_series("young", [20_000.0] * 6)
         first = service.predict("young")
         assert (first.strategy, first.donor_id) == ("similarity", "old0")
-        assert factory.fits == 1
+        assert factory.fits == 2  # old0's champion and the Model_Sim
+        sim = service._models["sim:old0"].predictor
         cycles = len(service.series("old0").completed_cycles)
         service.ingest_series("old0", [20_000.0] * 10)
         assert len(service.series("old0").completed_cycles) == cycles + 1
         again = service.predict("young")
-        assert factory.fits == 1
+        assert factory.fits == 3  # only old0's own champion retrained
+        assert service._models["sim:old0"].predictor is sim
         assert again == first
 
 
