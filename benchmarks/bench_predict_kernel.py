@@ -13,7 +13,9 @@ best-of-``--repeats`` per side, so background noise hits both equally):
 * the service's group-batched ``predict_batch(ids)`` (one kernel call
   per shared model identity) beats per-vehicle dispatch
   (``[predict_batch([v]) for v in ids]``) on a warm cold-start-heavy
-  fleet, where most vehicles share the fleet-wide ``Model_Uni``;
+  fleet, where most vehicles share the fleet-wide ``Model_Uni``
+  (every vehicle's remembered forecast is dropped before each timed
+  run, so both sides time routing, feature rows and kernel calls);
 * every batched forecast is **bit-identical** to the serial
   ``MaintenancePredictionService.predict`` path, and every compiled
   champion reproduces ``reference_predict`` byte-for-byte on its own
@@ -132,20 +134,32 @@ def build_engine(usage) -> FleetEngine:
     return engine
 
 
+def forget_forecasts(service) -> None:
+    """Drop every vehicle's remembered forecast: the next read of each
+    one misses and runs its kernel."""
+    for state in service._vehicles.values():
+        state.memo = None
+
+
 def fleet_bench(usage, repeats: int):
-    """Warm-fleet seconds: one grouped batch vs per-vehicle dispatch."""
+    """Warm-fleet seconds: one grouped batch vs per-vehicle dispatch,
+    both on the kernel path (every read a memo miss)."""
     engine = build_engine(usage)
-    engine.predict_all()  # trains + warms caches
+    engine.predict_all()  # compiles the kernels
     service = engine.service
     ids = sorted(usage)
     runs = {
         False: lambda: [service.predict_batch([v])[0] for v in ids],
         True: lambda: service.predict_batch(ids),
     }
-    forecasts = {batched: run() for batched, run in runs.items()}
+    forecasts = {}
+    for batched, run in runs.items():
+        forget_forecasts(service)
+        forecasts[batched] = run()
     timings = {batched: float("inf") for batched in runs}
     for _ in range(repeats):  # interleaved paired windows
         for batched, run in runs.items():
+            forget_forecasts(service)
             started = time.perf_counter()
             run()
             timings[batched] = min(
@@ -174,10 +188,9 @@ def champion_row_identity(usage) -> tuple[int, int]:
         service.register_vehicle(vehicle_id)
         service.ingest_series(vehicle_id, usage[vehicle_id])
     for vehicle_id in sorted(usage):
-        service.predict(vehicle_id)  # trains whatever the ladder needs
         model = service.champion(vehicle_id).predictor
-        if model is None:  # cold start: the full-pool Model_Uni, if fitted
-            entry = service._models.get(service._fleet_index().uni_scope)
+        if model is None:  # cold start: the Model_Uni, if fitted
+            entry = service._models.get("uni")
             model = None if entry is None else entry.predictor
         if model is None:
             continue

@@ -140,11 +140,13 @@ class Observability:
         """Context manager timing one pipeline stage.
 
         The canonical stages are ``ingest`` (one sample per reading),
-        ``feature-build`` (one per read batch: every vehicle's feature
-        row and Section-4 routing), ``train`` (one per fused training
-        pass) and ``predict`` (one per read batch, enclosing the
-        other two); extra keyword fields (vehicle id, batch size) are
-        carried on the event-log record only, not as histogram labels.
+        ``feature-build`` (one per read batch: every vehicle's
+        Section-4 routing; the feature rows of vehicles whose
+        remembered forecast cannot answer are built in the kernel
+        step), ``train`` (one per fused training pass) and ``predict``
+        (one per read batch, enclosing ``feature-build``); extra
+        keyword fields (vehicle id, batch size) are carried on the
+        event-log record only, not as histogram labels.
         """
         return _StageTimer(self, name, fields)
 

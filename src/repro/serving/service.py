@@ -209,6 +209,12 @@ class _VehicleState:
     # only moves forward: it folds in the days ingested since the last
     # series() call.
     cycles: IncrementalSeriesState | None = field(default=None, repr=False)
+    # The last forecast a kernel served: (day, kernel, Forecast).  A
+    # day names one history and a kernel one fitted model (see
+    # _run_kernels), so a read with the same pair reuses it.
+    memo: tuple[int, object, "Forecast"] | None = field(
+        default=None, repr=False
+    )
 
 
 class _FleetIndex:
@@ -224,16 +230,19 @@ class _FleetIndex:
     """
 
     __slots__ = (
-        "touched", "rank", "category", "cold", "donors", "donor_ids",
-        "epoch",
+        "touched", "rank", "days", "category", "cold", "donors",
+        "donor_ids", "epoch",
     )
 
     def __init__(self, vehicle_ids=()):
         ids = list(vehicle_ids)
-        #: Vehicles registered or appended to since the last drain.
+        #: Vehicles registered, appended to or given a lifecycle event
+        #: since the last drain.
         self.touched: dict[str, None] = dict.fromkeys(ids)
         #: Registration position of every vehicle.
         self.rank: dict[str, int] = {vid: i for i, vid in enumerate(ids)}
+        #: Days each vehicle had when it was last categorized.
+        self.days: dict[str, int] = {}
         self.category: dict[str, VehicleCategory] = {}
         #: SEMI-NEW and NEW vehicles: the ones a donor change reroutes.
         self.cold: dict[str, None] = {}
@@ -245,8 +254,8 @@ class _FleetIndex:
         #: the Model_Uni row by identity.
         self.donor_ids: frozenset[str] = frozenset()
         #: Bumped whenever a vehicle joins or leaves OLD or an OLD
-        #: vehicle is drained (it got a day, or a lifecycle event): a
-        #: donor search answer from an older epoch may be stale.
+        #: vehicle gets a day: a donor search answer from an older
+        #: epoch may be stale.
         self.epoch = 0
 
     def register(self, vehicle_id: str) -> None:
@@ -254,14 +263,18 @@ class _FleetIndex:
         self.touched[vehicle_id] = None
 
     def drain(self, service: "MaintenancePredictionService") -> dict:
-        """Re-categorize the touched vehicles (no monotonicity assumed)
-        and return them."""
+        """Re-categorize the touched vehicles whose days changed (no
+        monotonicity assumed) and return every touched one."""
         touched, self.touched = self.touched, {}
         cold, donors, donors_moved = self.cold, self.donors, False
         for vid in touched:
+            usage = service._vehicles[vid].usage
+            if self.days.get(vid) == len(usage):
+                continue  # a lifecycle event: category and donors hold
+            self.days[vid] = len(usage)
             was_old = self.category.get(vid) is VehicleCategory.OLD
             category = self.category[vid] = categorize_usage(
-                np.asarray(service._vehicles[vid].usage), service.t_v
+                np.asarray(usage), service.t_v
             )
             if category is VehicleCategory.OLD:
                 cold.pop(vid, None)
@@ -285,15 +298,16 @@ class _FleetIndex:
 
 class _Plan:
     """One vehicle's trip through :meth:`MaintenancePredictionService.
-    predict_batch`: its feature row, the ladder rung it routed to and
-    that rung's row, the fallback reasons collected on the way, and the
-    prediction."""
+    predict_batch`: the ladder rung it routed to and that rung's row,
+    the fallback reasons collected on the way, then either the
+    remembered forecast its kernel already served (``hit``) or its
+    feature row, the kernel that ran it and the prediction."""
 
     __slots__ = (
         "vehicle_id",
+        "state",
+        "cycles",
         "category",
-        "row",
-        "usage_left",
         "today",
         "span",
         "rung",
@@ -302,18 +316,27 @@ class _Plan:
         "donor_id",
         "scope",
         "reasons",
+        "hit",
+        "kernel",
+        "row",
+        "usage_left",
         "prediction",
     )
 
-    def __init__(self, vehicle_id, category, row, usage_left, today, span):
+    def __init__(self, vehicle_id, state, cycles, category, span):
         self.vehicle_id = vehicle_id
+        self.state = state
+        self.cycles = cycles
         self.category = category
-        self.row = row
-        self.usage_left = usage_left
-        self.today = today
+        self.today = cycles.n_days - 1
         self.span = span
         self.reasons: list[str] = []
+        self.hit = self.kernel = self.row = None
 
+
+#: Registry counter of read forecasts by ``outcome``: ``hit`` (a
+#: vehicle's remembered forecast, no kernel call) or ``miss``.
+_MEMO_COUNTER = "service.forecast_memo"
 
 #: Audit-trail cap for :attr:`MaintenancePredictionService.lifecycle_log`.
 _LIFECYCLE_LOG_LIMIT = 512
@@ -794,13 +817,15 @@ class MaintenancePredictionService:
         off keeps an installed champion), a SEMI-NEW one its nearest
         donor's ``sim`` row, a NEW one the ``uni`` row.  Fallback rungs
         are not trained.  A failed row is retried when its asker's
-        breaker allows.
+        breaker allows.  Once a donor search answer may have moved, the
+        ``sim`` rows that no answer names are dropped.
         """
         if self._replay_depth:
             return
         index, epoch = self._index, self._index.epoch
         changed = index.drain(self)
-        if index.epoch != epoch:
+        moved = index.epoch != epoch  # some donor search answer may move
+        if moved:
             changed.update(index.cold)
         fits: dict[str, tuple] = {}
         for vehicle_id in sorted(changed):
@@ -824,7 +849,9 @@ class MaintenancePredictionService:
                     continue
                 data = partial(self._vehicle_dataset, vehicle_id)
             elif category is VehicleCategory.SEMI_NEW:
+                answer = state.nearest
                 key = self._nearest_donor(vehicle_id, index)
+                moved |= answer is not None and answer[1] != key
                 scope = f"sim:{key}"
                 if key is None or scope in self._models:
                     continue
@@ -836,8 +863,29 @@ class MaintenancePredictionService:
                 data = partial(self._uni_dataset, list(index.donors.values()))
             if scope not in fits and self._may_retry(scope, vehicle_id):
                 fits[scope] = (key, data, vehicle_id)
+        if moved:
+            self._prune_sim_rows(index)
         if fits:
             self._train(fits)
+
+    def _prune_sim_rows(self, index: _FleetIndex) -> None:
+        """Drop every ``sim:`` row, and its recorded failure, that no
+        SEMI-NEW vehicle's current donor search answer names.  A row
+        that a later answer names again retrains from the donor's
+        frozen first cycle."""
+        named = set()
+        for vehicle_id in index.cold:  # only SEMI-NEW ones have answers
+            state = self._vehicles[vehicle_id]
+            nearest = state.nearest
+            if nearest is not None and nearest[0] == (
+                len(state.usage), index.epoch
+            ):
+                named.add(f"sim:{nearest[1]}")
+        for table in (self._models, self._failed):
+            for scope in [
+                s for s in table if s.startswith("sim:") and s not in named
+            ]:
+                del table[scope]
 
     def _may_retry(self, scope: str, vehicle_id: str) -> bool:
         """Whether ``vehicle_id`` may ask for ``scope`` now: always for a
@@ -1083,6 +1131,13 @@ class MaintenancePredictionService:
 
     # -- prediction -----------------------------------------------------------
 
+    def _require_window(self, vehicle_id: str, n_days: int) -> None:
+        if n_days <= self.window:
+            raise ValueError(
+                f"Vehicle {vehicle_id!r} has {n_days} days; "
+                f"window={self.window} needs at least {self.window + 1}."
+            )
+
     def _feature_row(
         self, vehicle_id: str, series
     ) -> tuple[np.ndarray, float, int]:
@@ -1090,12 +1145,8 @@ class MaintenancePredictionService:
         day, with ``L(t)`` and that day.  ``series`` is anything holding
         ``usage`` and ``usage_left`` arrays: a :class:`VehicleSeries`,
         or the vehicle's cycle state on the read path."""
+        self._require_window(vehicle_id, series.n_days)
         today = series.n_days - 1
-        if today < self.window:
-            raise ValueError(
-                f"Vehicle {vehicle_id!r} has {series.n_days} days; "
-                f"window={self.window} needs at least {self.window + 1}."
-            )
         usage_left = series.usage_left[today]
         row = np.empty((1, self.window + 1))
         row[0, 0] = usage_left
@@ -1187,13 +1238,18 @@ class MaintenancePredictionService:
         plan.donor_id = plan.scope = None
 
     def _plan(self, vehicle_id: str, span) -> _Plan:
-        """Step 1 for one vehicle: feature row plus Section-4 routing."""
+        """Step 1 for one vehicle: Section-4 routing."""
         cycles = self._cycle_state(vehicle_id)
         if cycles.n_days == 0:
             raise ValueError(f"Vehicle {vehicle_id!r} has no data yet.")
-        category = self._index.category[vehicle_id]
-        row, usage_left, today = self._feature_row(vehicle_id, cycles)
-        plan = _Plan(vehicle_id, category, row, usage_left, today, span)
+        self._require_window(vehicle_id, cycles.n_days)
+        plan = _Plan(
+            vehicle_id,
+            self._vehicles[vehicle_id],
+            cycles,
+            self._index.category[vehicle_id],
+            span,
+        )
         if span is None:
             self._route(plan, 0)
         else:
@@ -1202,11 +1258,20 @@ class MaintenancePredictionService:
         return plan
 
     def _run_kernels(self, plans: list[_Plan]) -> list[_Plan]:
-        """Step 2: one kernel call per shared model object.
+        """Step 2: one kernel call per shared model object, for the
+        vehicles it has not answered yet.
 
-        Kernels flagged not batch-safe (linear matvecs) run one row at a
-        time, as do models without a compiled kernel, through their own
-        trusted ``predict``.  With a breaker, a failed call charges one
+        A vehicle whose remembered forecast was served by this very
+        kernel object on its current day is a hit: it builds no feature
+        row and leaves the call.  That is exact, because the kernel
+        belongs to one fitted state of one model (a retrain, promotion,
+        rollback, pin or restore installs a different one) and the day
+        to one append-only history (a restore replaces the state and
+        its memo); a row with no cached kernel never hits.  The others
+        build their Eq. 8 rows.  Kernels flagged not batch-safe (linear
+        matvecs) run one row at a time, as do models without a compiled
+        kernel, through their own trusted ``predict``.  With a breaker,
+        a hit counts as a success, and a failed call charges one
         failure to each vehicle it covered and re-routes those vehicles
         one rung down; they are returned for another pass.
         """
@@ -1222,10 +1287,29 @@ class MaintenancePredictionService:
             )
             if compiled is not None:
                 predict = compiled.predict
+                misses = []
+                for plan in group:
+                    memo = plan.state.memo
+                    if memo is None or memo[1] is not compiled or (
+                        memo[0] != plan.today
+                    ):
+                        misses.append(plan)
+                        continue
+                    plan.hit = memo[2]
+                    if breaker is not None:
+                        breaker.record_success(
+                            f"{plan.vehicle_id}:{plan.strategy}"
+                        )
+                group = misses
             elif getattr(model, "trusted_predict", False):
                 predict = partial(model.predict, validate=False)
             else:
                 predict = model.predict
+            for plan in group:
+                if plan.row is None:
+                    plan.row, plan.usage_left, _ = self._feature_row(
+                        plan.vehicle_id, plan.cycles
+                    )
             if compiled is not None and compiled.batch_safe and len(group) > 1:
                 calls = [(group, np.concatenate([p.row for p in group]))]
             else:
@@ -1249,6 +1333,7 @@ class MaintenancePredictionService:
                     self.kernel_cache.record_batch(len(members))
                 for plan, value in zip(members, out):
                     plan.prediction = float(max(value, 0.0))
+                    plan.kernel = compiled
                     if breaker is not None and plan.strategy != "baseline":
                         breaker.record_success(
                             f"{plan.vehicle_id}:{plan.strategy}"
@@ -1256,9 +1341,16 @@ class MaintenancePredictionService:
         return rerouted
 
     def _forecast(self, plan: _Plan) -> Forecast:
-        """Step 3 for one vehicle: pending record, fallback accounting."""
-        vehicle_id, strategy = plan.vehicle_id, plan.strategy
-        state = self._state(vehicle_id)
+        """Step 3 for one vehicle: pending record, fallback accounting,
+        and the :class:`Forecast` — a hit's remembered one when every
+        field still agrees, else a new one, remembered when a cached
+        kernel served it."""
+        vehicle_id, strategy, hit = plan.vehicle_id, plan.strategy, plan.hit
+        if hit is not None:
+            plan.prediction, plan.usage_left = (
+                hit.days_to_maintenance, hit.usage_left
+            )
+        state = plan.state
         if self.monitor is not None:  # the only reader of resolved forecasts
             state.pending.append((plan.today, plan.prediction, strategy))
         reason = "; ".join(plan.reasons) or None
@@ -1272,7 +1364,16 @@ class MaintenancePredictionService:
                     strategy=strategy,
                     fallback_reason=reason,
                 )
-        return Forecast(
+        version = plan.entry.version
+        if hit is not None and (
+            hit.strategy == strategy
+            and hit.category is plan.category
+            and hit.donor_id == plan.donor_id
+            and hit.model_version == version
+            and hit.fallback_reason == reason
+        ):
+            return hit
+        forecast = Forecast(
             vehicle_id=vehicle_id,
             category=plan.category,
             strategy=strategy,
@@ -1282,8 +1383,11 @@ class MaintenancePredictionService:
             donor_id=plan.donor_id,
             degraded=reason is not None,
             fallback_reason=reason,
-            model_version=plan.entry.version,
+            model_version=version,
         )
+        if plan.kernel is not None:
+            state.memo = (plan.today, plan.kernel, forecast)
+        return forecast
 
     def predict(self, vehicle_id: str) -> Forecast:
         """Forecast days to next maintenance from the latest ingested day
@@ -1300,10 +1404,20 @@ class MaintenancePredictionService:
            row up in the model table — a read never trains a model or
            reads the store; ingest installed every row it can serve;
         2. group the vehicles by the *model object* they routed to and
-           make one kernel call per group; with a breaker, a failed
-           call re-routes its vehicles one rung down and repeats;
+           look the group's kernel up; a vehicle whose remembered
+           forecast that kernel served on its current day is a hit and
+           leaves the group, the rest build their Eq. 8 feature rows
+           and share one kernel call; with a breaker, a failed call
+           re-routes its vehicles one rung down and repeats;
         3. record pending forecasts and build the :class:`Forecast`
-           objects in input order.
+           objects in input order (a hit reuses its remembered one when
+           every field agrees).
+
+        A repeat read is thus a lookup: only an ingest (a new day), a
+        lifecycle event or a restore (a new fitted model, hence a new
+        kernel) makes a vehicle's next read run its kernel.  With
+        :attr:`obs` attached, the ``service.forecast_memo`` counter
+        counts the batch's forecasts by ``outcome`` (``hit``/``miss``).
 
         Grouping is sound because tree-ensemble kernels are pure
         gathers plus row-separable elementwise aggregation — row ``i``
@@ -1326,7 +1440,15 @@ class MaintenancePredictionService:
             pending = plans
             while pending:
                 pending = self._run_kernels(pending)
-            return [self._forecast(plan) for plan in plans]
+            forecasts = [self._forecast(plan) for plan in plans]
+        if self.obs is not None:
+            hits = sum(plan.hit is not None for plan in plans)
+            registry = self.obs.registry
+            registry.counter(_MEMO_COUNTER, outcome="hit").inc(hits)
+            registry.counter(_MEMO_COUNTER, outcome="miss").inc(
+                len(plans) - hits
+            )
+        return forecasts
 
     # -- health ----------------------------------------------------------------
 

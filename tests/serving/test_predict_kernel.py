@@ -138,10 +138,10 @@ class TestResilientBatching:
     step, and a failed group call re-routes only its own vehicles."""
 
     def test_resilient_predict_all_one_kernel_call_per_shared_model(self):
+        """The first read after an ingest makes one kernel call per
+        shared model; a repeat read is answered by each vehicle's
+        remembered forecast and makes none."""
         usage_map = random_fleet(23)
-        reference = serial_forecasts(
-            build_serial(usage_map, window=2, algorithm="RF")
-        )
         engine = build_engine(
             usage_map,
             window=2,
@@ -149,24 +149,38 @@ class TestResilientBatching:
             guard=IngestionGuard(),
             breaker=CircuitBreaker(),
         )
-        assert engine.predict_all() == reference  # trains + compiles
-        before = engine.service.kernel_cache.stats()
-        forecasts = engine.predict_all()
-        after = engine.service.kernel_cache.stats()
-        assert forecasts == reference
-        models = {
-            (f.strategy, f.donor_id or f.vehicle_id)
-            if f.strategy != "unified"
-            else ("unified", None)
-            for f in forecasts
-        }
-        assert "baseline" not in {strategy for strategy, _ in models}
-        assert after["batches"] - before["batches"] == len(models)
-        assert after["batched_rows"] - before["batched_rows"] == len(forecasts)
-        assert any(
-            sum(f.strategy == strategy for f in forecasts) > 1
-            for strategy in ("similarity", "unified")
-        )
+        stats = engine.service.kernel_cache.stats
+        for _ in range(2):
+            reference = serial_forecasts(
+                build_serial(usage_map, window=2, algorithm="RF")
+            )
+            before = stats()
+            forecasts = engine.predict_all()
+            after = stats()
+            assert forecasts == reference
+            models = {
+                (f.strategy, f.donor_id or f.vehicle_id)
+                if f.strategy != "unified"
+                else ("unified", None)
+                for f in forecasts
+            }
+            assert "baseline" not in {strategy for strategy, _ in models}
+            assert after["batches"] - before["batches"] == len(models)
+            assert after["batched_rows"] - before["batched_rows"] == len(
+                forecasts
+            )
+            assert any(
+                sum(f.strategy == strategy for f in forecasts) > 1
+                for strategy in ("similarity", "unified")
+            )
+            assert engine.predict_all() == reference
+            assert stats() == after
+            # One more fleet day: every vehicle misses on the next read.
+            engine.ingest_day({vid: 21_000.0 for vid in usage_map})
+            usage_map = {
+                vid: np.append(usage, 21_000.0)
+                for vid, usage in usage_map.items()
+            }
 
     def test_group_failure_reroutes_each_vehicle_one_rung_down(self):
         rng = np.random.default_rng(3)

@@ -20,6 +20,7 @@ from repro.core.registry import make_predictor
 from repro.core.series import VehicleSeries
 from repro.serving import service as service_module
 from repro.serving.engine import FleetEngine
+from repro.serving.persistence import ModelStore
 from repro.serving.reliability import CircuitBreaker
 from repro.serving.service import MaintenancePredictionService
 
@@ -151,6 +152,61 @@ class TestNoFleetScanOnRead:
         assert fits == ["old1"]  # retrained by the ingest that closed it
         engine.predict_many(["old0", "old1"])
         assert fits == ["old1"]
+
+
+class TestLifecycleEventsMoveNoDonors:
+    def test_pin_with_no_new_day_searches_no_donor(self, counted, tmp_path):
+        """A lifecycle event changes no usage history: it re-categorizes
+        nobody and leaves every donor search answer standing."""
+        service = MaintenancePredictionService(
+            t_v=T_V, window=WINDOW, algorithm="LR", store=ModelStore(tmp_path)
+        )
+        ids = list(mixed_fleet(service))
+        first = service.predict_batch(ids)
+        counted.update(categorize_usage=0, most_similar=0)
+        epoch = service._index.epoch
+        version = service.champion("old0").version
+        service.apply_lifecycle_event("pin", "old0", version=version)
+        assert service.predict_batch(ids) == first
+        assert counted == {"categorize_usage": 0, "most_similar": 0}
+        assert service._index.epoch == epoch
+
+
+class TestUnnamedSimRowsArePruned:
+    def test_donor_change_drops_the_old_row_and_a_flip_back_retrains_it(
+        self,
+    ):
+        service = MaintenancePredictionService(
+            t_v=T_V, window=WINDOW, algorithm="RF"
+        )
+        for vid, rate, days in (
+            ("A", 18_000.0, 25), ("C", 24_000.0, 25), ("S", 22_500.0, 6)
+        ):
+            service.register_vehicle(vid)
+            service.ingest_series(vid, [rate] * days)
+        (first,) = service.predict_batch(["S"])
+        assert (first.strategy, first.donor_id) == ("similarity", "C")
+        service._failed["sim:A"] = RuntimeError("a row nothing routes to")
+        # B joins the donors closer to S than C is: sim:C is unnamed.
+        service.register_vehicle("B")
+        service.ingest_series("B", [21_500.0] * 25)
+        (moved,) = service.predict_batch(["S"])
+        assert moved.donor_id == "B"
+        assert sorted(s for s in service._models if s.startswith("sim:")) == [
+            "sim:B"
+        ]
+        assert "sim:A" not in service._failed
+        # B's low days move its average away: S matches C again, and
+        # the retrained sim:C row serves the first forecast bit for bit.
+        service.ingest_series("B", [10_000.0] * 25)
+        (back,) = service.predict_batch(["S"])
+        assert sorted(s for s in service._models if s.startswith("sim:")) == [
+            "sim:C"
+        ]
+        assert back == first
+        assert np.float64(back.days_to_maintenance).tobytes() == (
+            np.float64(first.days_to_maintenance).tobytes()
+        )
 
 
 class TestUnifiedModelFitsOncePerDonorSet:
